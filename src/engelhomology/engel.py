@@ -16,7 +16,7 @@ and checked against the computed polynomial.
 from fractions import Fraction
 from itertools import product
 
-from .exact import MissingParameter, ParamPolynomial, PolyFraction
+from .exact import MissingParameter, ParamPolynomial, PolyFraction, row_reduce
 from .liealg import (
     ClassTypeId,
     ConstraintViolation,
@@ -280,16 +280,7 @@ def _admissible_samples(n, free):
 def _plane_flags(algebra, plane):
     """(triple independent, quadruple independent) for fully numeric data."""
     w1, w2, w3, w4 = _tower(algebra, plane)
-    rows3 = [list(w.coeffs) for w in (w1, w2, w3)]
-    triple = False
-    for drop in range(4):
-        minor = [r[:drop] + r[drop + 1:] for r in rows3]
-        if not _det(minor).is_zero():
-            triple = True
-            break
-    quad = not _det([list(w.coeffs)
-                     for w in (w1, w2, w3, w4)]).is_zero()
-    return triple, quad
+    return _rank((w1, w2, w3)) == 3, _rank((w1, w2, w3, w4)) == 4
 
 
 def verify_witness(n, p, q, params=None):
@@ -332,21 +323,9 @@ def _to_fractions(vec):
     return out
 
 
-def _rank_rows(rows):
-    rows = [row[:] for row in rows]
-    rank = 0
-    for col in range(4):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col] / lead[col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], lead)]
-        rank += 1
-    return rank
+def _rank(vectors):
+    """Exact rank of parameter-free vectors."""
+    return len(row_reduce([_to_fractions(v) for v in vectors])[1])
 
 
 def engel_flag_check(algebra, plane, assignment=None):
@@ -359,12 +338,12 @@ def engel_flag_check(algebra, plane, assignment=None):
     w2 = plane.w2()
     w3 = algebra.bracket(w1, w2)
     d2_gens = [w1, w2, w3]
-    d2 = _rank_rows([_to_fractions(v) for v in d2_gens])
+    d2 = _rank(d2_gens)
     d3_gens = list(d2_gens)
     for i in range(len(d2_gens)):
         for j in range(i + 1, len(d2_gens)):
             d3_gens.append(algebra.bracket(d2_gens[i], d2_gens[j]))
-    d3 = _rank_rows([_to_fractions(v) for v in d3_gens])
+    d3 = _rank(d3_gens)
     return d2, d3
 
 
@@ -468,7 +447,7 @@ def characteristic_foliation(algebra):
     if rank == 2:
         return Foliation(algebra.label, "point", None, conditions, note)
     direction = _clear_pair(B0, -A0)
-    if algebra.label == "family-3":
+    if not any(x.is_constant() and not x.is_zero() for x in direction):
         note = ("direction has no parameter-free closed form; the "
                 "coefficients depend on the family parameters")
     return Foliation(algebra.label, "line",

@@ -9,6 +9,7 @@ structural equality.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 import random
 
 import numpy as np
@@ -283,15 +284,6 @@ class ParamPolynomial:
             total = total + term
         return total
 
-    def coefficient_content_lcm(self):
-        """LCM of coefficient denominators (for clearing to integers)."""
-        lcm = 1
-        for c in self.terms.values():
-            d = c.denominator
-            g = _gcd(lcm, d)
-            lcm = lcm // g * d
-        return lcm
-
     # -- printing ----------------------------------------------------------
 
     def __str__(self):
@@ -322,12 +314,6 @@ class ParamPolynomial:
 
     def __repr__(self):
         return f"ParamPolynomial({self})"
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 # Convenience aliases used throughout the package.
@@ -740,8 +726,17 @@ def kernel_basis(M, mode):
     """Exact rational kernel basis; Specialized mode only."""
     if not isinstance(mode, Specialized):
         raise TypeError("kernel_basis requires Specialized mode")
-    rows = _evaluated_rows(M, mode.assignment)
-    return _fraction_kernel(rows, M.cols)
+    work, pivots = row_reduce(_evaluated_rows(M, mode.assignment))
+    basis = []
+    for fc in range(M.cols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * M.cols
+        v[fc] = Fraction(1)
+        for row, pc in zip(work, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
+        basis.append(tuple(v))
+    return basis
 
 
 # -- symbolic (Bareiss) ----------------------------------------------------
@@ -796,6 +791,9 @@ def _rank_randomized(M, mode, nonzero):
     params = set(M.parameters())
     for p in nonzero:
         params.update(p.vars)
+    if not params:
+        # every trial would eliminate the same matrix; take the exact rank
+        return _rank_specialized(M, Specialized({}), nonzero)
     params = sorted(params)
     rng = random.Random(mode.seed)
     lo, hi = mode.coeff_range
@@ -860,106 +858,65 @@ def _rank_specialized(M, mode, nonzero):
         if p.evaluate(mode.assignment) == 0:
             raise DegenerateDenominator(
                 f"assignment zeroes nondegeneracy polynomial {p}")
-    rows = _evaluated_rows(M, mode.assignment)
-    int_rows = []
+    return len(row_reduce(_evaluated_rows(M, mode.assignment))[1])
+
+
+def inverse(T):
+    """Exact inverse of a square matrix of ints or Fractions, as rows of
+    Fractions; raises ValueError when T is singular."""
+    n = len(T)
+    work, pivots = row_reduce([list(row) + [int(i == j) for j in range(n)]
+                               for i, row in enumerate(T)])
+    # [T | I] always has rank n; T is invertible iff no pivot leaves T
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [[Fraction(x, row[i]) for x in row[n:]]
+            for i, row in enumerate(work)]
+
+
+def row_reduce(rows):
+    """Reduced row echelon form over Z of rows of ints or Fractions.
+
+    Each row is first scaled to integers by the LCM of its denominators.
+    Gauss-Jordan elimination then runs column by column, left to right:
+    it pivots on the entry of least absolute value, clears the column in
+    every other row with gcd multipliers, and divides each changed row by
+    its content.  Returns (work, pivots): the nonzero reduced rows, row i
+    having its pivot in column pivots[i].  Up to a nonzero scale of each
+    row this is the unique RREF, so work[i][c] / work[i][pivots[i]] does
+    not depend on the pivot order.
+    """
+    work = []
     for row in rows:
-        lcm = 1
-        for x in row:
-            d = x.denominator
-            g = _gcd(lcm, d)
-            lcm = lcm // g * d
-        int_rows.append([int(x * lcm) for x in row])
-    return _int_rank(int_rows)
-
-
-def _int_rank(rows):
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                if piv is None or abs(rows[i][col]) < abs(rows[piv][col]):
-                    piv = i
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            x = rows[i][col]
-            if not x:
-                continue
-            g = _gcd(pv, x)
-            a, b = pv // g, x // g
-            row = rows[i]
-            top = rows[rank]
-            for c in range(col, ncols):
-                row[c] = row[c] * a - top[c] * b
-            content = 0
-            for c in range(col, ncols):
-                content = _gcd(content, row[c])
-                if content == 1:
-                    break
-            if content > 1:
-                for c in range(col, ncols):
-                    row[c] //= content
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def _fraction_kernel(rows, ncols):
-    """Kernel basis over Q via reduced row echelon form."""
-    work = [list(r) for r in rows if any(x != 0 for x in r)]
+        den = lcm(*(x.denominator for x in row))
+        row = [x.numerator * (den // x.denominator) for x in row]
+        if any(row):
+            work.append(row)
     pivots = []
-    rank = 0
-    for col in range(ncols):
+    for col in range(len(work[0]) if work else 0):
+        rank = len(pivots)
+        if rank == len(work):
+            break
         piv = None
         for i in range(rank, len(work)):
-            if work[i][col] != 0:
+            x = work[i][col]
+            if x and (piv is None or abs(x) < abs(work[piv][col])):
                 piv = i
-                break
         if piv is None:
             continue
         work[rank], work[piv] = work[piv], work[rank]
-        pv = work[rank][col]
-        work[rank] = [x / pv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+        top = work[rank]
+        pv = top[col]
+        for i, row in enumerate(work):
+            x = row[col]
+            if not x or i == rank:
+                continue
+            g = gcd(pv, x)
+            a, b = pv // g, x // g
+            row = [u * a - v * b for u, v in zip(row, top)]
+            content = gcd(*row)
+            if content > 1:
+                row = [u // content for u in row]
+            work[i] = row
         pivots.append(col)
-        rank += 1
-        if rank == len(work):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -work[i][fc]
-        basis.append(tuple(v))
-    return basis
-
-
-# ---------------------------------------------------------------------------
-# spec-shaped wrappers
-
-
-def poly_arith(lhs, rhs, op):
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs * rhs
-    raise ValueError(f"unknown op {op!r}")
-
-
-def poly_eval(p, assignment):
-    return p.evaluate(assignment)
+    return work, pivots

@@ -18,6 +18,7 @@ from fractions import Fraction
 from .exact import (
     ParamPolynomial,
     PolyFraction,
+    inverse,
     parse_fraction,
 )
 
@@ -217,7 +218,7 @@ class LieAlgebra4:
         T is a 4x4 invertible matrix of rationals.
         """
         T = [[Fraction(x) for x in row] for row in T]
-        Tinv = _invert4(T)
+        Tinv = inverse(T)
         new_c = {}
         for i in range(1, 5):
             for j in range(i + 1, 5):
@@ -262,24 +263,6 @@ def _subs_partial(poly, assignment):
         else:
             full[v] = PolyFraction.lift(PV(v))
     return poly.substitute(full)
-
-
-def _invert4(T):
-    n = len(T)
-    work = [row[:] + [Fraction(1) if i == j else Fraction(0)
-                      for j in range(n)] for i, row in enumerate(T)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("basis change matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
 
 
 # ---------------------------------------------------------------------------

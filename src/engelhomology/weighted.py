@@ -233,11 +233,6 @@ class WeightedChainBasis:
     def dimension(self):
         return len(self.words)
 
-    def word_str(self, word):
-        if not word:
-            return "1"
-        return " ".join(comp.monomial_str(idx) for comp, idx in word)
-
 
 def chain_basis(kind, weight, m):
     return WeightedChainBasis(kind, weight, m)

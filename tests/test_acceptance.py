@@ -35,10 +35,11 @@ from engelhomology.exact import (
     PolyFraction,
     Randomized,
     Specialized,
+    inverse,
     matrix_rank,
     parse_polynomial,
 )
-from engelhomology.liealg import Vector4, class_type, family, _invert4
+from engelhomology.liealg import Vector4, class_type, family
 from engelhomology.superalg import (
     FORM,
     MULTIVECTOR,
@@ -674,7 +675,7 @@ def _random_invertible(rng):
         T = [[Fraction(rng.randint(-3, 3)) for _ in range(4)]
              for _ in range(4)]
         try:
-            _invert4(T)
+            inverse(T)
         except ValueError:
             continue
         return T
@@ -711,7 +712,7 @@ def _iso_2_4(src, x):
         to_slice = _flag_rows(g, g.bracket(y2, y1) - y1.scale(c244), y2)
         dst, y = 2, {"C143": -c231 - c244 ** 2, "C144": 2 * c244,
                      "C234": x["C234"], "C244": c244}
-        back = _invert4(_iso_2_4(2, y)[0])
+        back = inverse(_iso_2_4(2, y)[0])
         T = [[sum(a * b for a, b in zip(row, col)) for col in zip(*to_slice)]
              for row in back]
     h, want = g.change_basis(T), FAMILIES[dst].specialize(y)

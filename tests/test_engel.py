@@ -234,6 +234,15 @@ def test_foliation_family3_line():
     assert f.note
 
 
+def test_foliation_note_follows_direction_not_label():
+    f = characteristic_foliation(family(3).specialize({}, label="x"))
+    assert f.describe() == "span(C244*y1 - C144*y2)"
+    assert f.note == characteristic_foliation(family(3)).note
+    # at a numeric point the direction is parameter-free
+    g = family(3).specialize({p: 2 for p in family(3).params})
+    assert characteristic_foliation(g).note is None
+
+
 def test_foliation_abelian_full_plane():
     f = characteristic_foliation(LieAlgebra4("abelian", {}))
     assert f.kind == "plane"

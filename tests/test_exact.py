@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from engelhomology.exact import (
     ParamPolynomial,
@@ -16,9 +16,11 @@ from engelhomology.exact import (
     DegenerateDenominator,
     matrix_rank,
     kernel_basis,
+    inverse,
     parse_fraction,
     parse_polynomial,
 )
+from engelhomology import exact
 
 PV = ParamPolynomial.variable
 PC = ParamPolynomial.const
@@ -354,3 +356,79 @@ def test_randomized_never_exceeds_symbolic(cs, seed):
     r_sym, _ = matrix_rank(M, SymbolicGeneric())
     r_rand, _ = matrix_rank(M, Randomized(seed=seed, trials=2))
     assert r_rand <= r_sym
+
+
+# -- the shared exact elimination ------------------------------------------
+
+
+def _fraction_rank(rows):
+    """Oracle: rank over Q by textbook elimination on Fractions."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+_entries = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+_matrices = st.integers(1, 5).flatmap(
+    lambda cols: st.lists(st.lists(_entries, min_size=cols, max_size=cols),
+                          min_size=1, max_size=5))
+
+
+@given(_matrices)
+@settings(max_examples=80, deadline=None)
+def test_exact_rank_and_kernel(rows):
+    M = PolyMatrix.from_rows(rows)
+    r, k = matrix_rank(M, Specialized({}))
+    assert r == _fraction_rank(rows)
+    basis = kernel_basis(M, Specialized({}))
+    assert len(basis) == k == M.cols - r
+    for v in basis:
+        assert all(sum(Fraction(x) * y for x, y in zip(row, v)) == 0
+                   for row in rows)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(_entries, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+@example([[1, 2], [2, 4]])
+@example([[0] * 3 for _ in range(3)])
+@settings(max_examples=80, deadline=None)
+def test_inverse_or_singular(T):
+    if _fraction_rank(T) < len(T):
+        with pytest.raises(ValueError):
+            inverse(T)
+        return
+    Tinv = inverse(T)
+    n = len(T)
+    assert [[sum(Fraction(T[i][k]) * Tinv[k][j] for k in range(n))
+             for j in range(n)] for i in range(n)] == \
+        [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_randomized_parameter_free_is_exact(monkeypatch):
+    def no_modular(arr, p=None):
+        raise AssertionError("parameter-free matrix sent to mod-p trials")
+
+    monkeypatch.setattr(exact, "_rank_mod_p", no_modular)
+    # rank 2 over Q; every modular trial would repeat the same matrix
+    M = PolyMatrix.from_rows([[2, 4, Fraction(1, 3)],
+                              [1, 2, Fraction(1, 6)],
+                              [0, 1, 5]])
+    assert matrix_rank(M, Randomized(seed=3)) == \
+        matrix_rank(M, Specialized({})) == (2, 1)
+    assert matrix_rank(M, Randomized(), nonzero=[PC(7)]) == (2, 1)
+    with pytest.raises(DegenerateDenominator):
+        matrix_rank(M, Randomized(), nonzero=[PC(0)])

@@ -1,0 +1,41 @@
+"""The benchmark tracer hooks the package by name; renaming a hooked
+function must fail here rather than in a traced benchmark run."""
+
+import sys
+from pathlib import Path
+
+from engelhomology import engel, exact
+from engelhomology.exact import (
+    PolyMatrix,
+    Randomized,
+    Specialized,
+    matrix_rank,
+)
+from engelhomology.liealg import class_type
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import spans  # noqa: E402
+
+
+def test_tracer_installs_records_and_uninstalls():
+    originals = (exact._rank_specialized, exact._rank_randomized,
+                 exact._rank_mod_p, engel._plane_flags,
+                 engel.engel_flag_check)
+    M = PolyMatrix.from_rows([[1, 2], [3, 4]])
+    with spans.Tracer() as tracer:
+        tracer.run_item("rank", lambda: (
+            matrix_rank(M, Specialized({})), matrix_rank(M, Randomized())))
+        tracer.run_item("witness",
+                        lambda: engel.verify_witness(1, *engel.WITNESSES[1]))
+        tracer.run_item("flag", lambda: engel.engel_flag_check(
+            class_type(1), engel.PlanePair(*engel.WITNESSES[1])))
+    assert (exact._rank_specialized, exact._rank_randomized,
+            exact._rank_mod_p, engel._plane_flags,
+            engel.engel_flag_check) == originals
+    calls = {name: n for name, (n, _) in tracer.self_times().items()}
+    # the parameter-free Randomized rank runs the exact rank inside it
+    assert calls["exact.rank_modp"] == 1
+    assert calls["exact.rank_int"] == 2
+    assert calls["engel.witness"] == 1
+    assert calls["engel.flag"] == 2
+    assert tracer.counts["exact.rank_int.cells"] == 8

@@ -339,12 +339,12 @@ def test_euler_identity_every_report():
 
 
 def _random_invertible(rng):
-    from engelhomology.liealg import _invert4
+    from engelhomology.exact import inverse
     while True:
         T = [[Fraction(rng.randint(-3, 3)) for _ in range(4)]
              for _ in range(4)]
         try:
-            _invert4(T)
+            inverse(T)
         except ValueError:
             continue
         return T
