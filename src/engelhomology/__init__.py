@@ -4,7 +4,6 @@ the graded superalgebras built from multivectors and forms."""
 
 from .exact import (
     ParamPolynomial,
-    PolyFraction,
     PolyMatrix,
     SymbolicGeneric,
     Randomized,
@@ -19,7 +18,6 @@ from .exact import (
 
 __all__ = [
     "ParamPolynomial",
-    "PolyFraction",
     "PolyMatrix",
     "SymbolicGeneric",
     "Randomized",

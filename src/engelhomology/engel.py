@@ -16,7 +16,7 @@ and checked against the computed polynomial.
 from fractions import Fraction
 from itertools import product
 
-from .exact import MissingParameter, ParamPolynomial, PolyFraction, row_reduce
+from .exact import MissingParameter, ParamPolynomial, row_reduce
 from .liealg import (
     ClassTypeId,
     ConstraintViolation,
@@ -34,8 +34,8 @@ class PlanePair:
     __slots__ = ("p", "q")
 
     def __init__(self, p, q):
-        self.p = tuple(PolyFraction.lift(x) for x in p)
-        self.q = tuple(PolyFraction.lift(x) for x in q)
+        self.p = tuple(ParamPolynomial.lift(x) for x in p)
+        self.q = tuple(ParamPolynomial.lift(x) for x in q)
         if len(self.p) != 4 or len(self.q) != 4:
             raise ValueError("PlanePair needs two 4-vectors")
 
@@ -57,7 +57,7 @@ class Elc:
     __slots__ = ("value",)
 
     def __init__(self, value):
-        self.value = PolyFraction.lift(value)
+        self.value = ParamPolynomial.lift(value)
 
     def is_zero(self):
         return self.value.is_zero()
@@ -70,7 +70,7 @@ class Elc:
 
 
 def _det(rows):
-    """Determinant of a square matrix of PolyFraction entries."""
+    """Determinant of a square matrix of ParamPolynomial entries."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -84,7 +84,7 @@ def _det(rows):
         if c % 2:
             term = -term
         acc = term if acc is None else acc + term
-    return acc if acc is not None else PolyFraction.zero()
+    return acc if acc is not None else ParamPolynomial.zero()
 
 
 def _tower(algebra, plane):
@@ -197,7 +197,7 @@ def elc_formula_check(n):
 
 def elc_formula_report(n):
     computed = elc(class_type(n), PlanePair.symbolic()).value
-    want = PolyFraction.lift(transcribed_formula(n))
+    want = transcribed_formula(n)
     report = {
         "id": n,
         "match": (computed - want).is_zero(),
@@ -206,7 +206,7 @@ def elc_formula_report(n):
     }
     if not report["match"] and n in CORRECTED_FORMULAS:
         builder, text = CORRECTED_FORMULAS[n]
-        if (computed - PolyFraction.lift(builder())).is_zero():
+        if (computed - builder()).is_zero():
             report["corrected"] = text
     return report
 
@@ -314,18 +314,10 @@ def verify_witness(n, p, q, params=None):
 # flag dimensions of a candidate plane
 
 
-def _to_fractions(vec):
-    out = []
-    for c in vec.coeffs:
-        if c.parameters():
-            raise MissingParameter(c.parameters()[0])
-        out.append(c.evaluate({}))
-    return out
-
-
 def _rank(vectors):
     """Exact rank of parameter-free vectors."""
-    return len(row_reduce([_to_fractions(v) for v in vectors])[1])
+    return len(row_reduce([[c.evaluate({}) for c in v.coeffs]
+                           for v in vectors])[1])
 
 
 def engel_flag_check(algebra, plane, assignment=None):
@@ -419,10 +411,8 @@ def _render_direction(direction):
 
 
 def _clear_pair(u, v):
-    m = u.den * v.den
-    a = u.num * m.divide_exact(u.den)
-    b = v.num * m.divide_exact(v.den)
-    return a, b
+    m = u.split()[1] * v.split()[1]
+    return u * m, v * m
 
 
 def characteristic_foliation(algebra):
@@ -450,14 +440,12 @@ def characteristic_foliation(algebra):
     if not any(x.is_constant() and not x.is_zero() for x in direction):
         note = ("direction has no parameter-free closed form; the "
                 "coefficients depend on the family parameters")
-    return Foliation(algebra.label, "line",
-                     tuple(PolyFraction.lift(x) for x in direction),
-                     conditions, note)
+    return Foliation(algebra.label, "line", direction, conditions, note)
 
 
 def foliation_containment(algebra, direction):
     """Re-check [span(direction), D2] in D2 by direct substitution."""
-    a, b = (PolyFraction.lift(x) for x in direction)
+    a, b = direction
     v = Vector4((a, b, 0, 0))
     return all(algebra.bracket(v, Vector4.basis(j)).coeff(4).is_zero()
                for j in (1, 2, 3))

@@ -1,11 +1,12 @@
-"""Exact arithmetic core: rationals, sparse multivariate polynomials,
-monomial-denominator fractions, and rank/kernel computation for matrices
-whose entries are polynomials in named parameters.
+"""Exact arithmetic core: Laurent polynomials in named parameters, and
+rank/kernel computation for matrices whose entries are polynomials.
 
-Scalars are `fractions.Fraction` throughout.  A polynomial is a sparse map
-from exponent vectors (aligned with a sorted variable tuple) to nonzero
-rational coefficients; construction always canonicalizes, so equality is
-structural equality.
+Scalars are `fractions.Fraction` throughout.  Every structure constant is
+a polynomial divided by a monomial in parameters declared nonzero (a
+power of C144), so one scalar type suffices: a Laurent polynomial, a
+sparse map from monomials to nonzero rational coefficients.  A monomial
+is a name-sorted tuple of (name, exponent) pairs with nonzero, possibly
+negative, exponents, so equality is structural equality.
 """
 
 from fractions import Fraction
@@ -20,7 +21,8 @@ _PRIME = 2**31 - 1
 
 DEFAULT_SEED = 1729
 DEFAULT_TRIALS = 3
-DEFAULT_COEFF_RANGE = (-10_000, 10_000)
+# randomized sample points draw every parameter from this closed range
+_COEFF_RANGE = (-10_000, 10_000)
 
 
 class MissingParameter(KeyError):
@@ -39,35 +41,43 @@ def _as_fraction(x):
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-class ParamPolynomial:
-    """Multivariate polynomial over Q in named parameters, canonical form.
+def _mono_mul(a, b):
+    """Product of two monomials."""
+    if not a:
+        return b
+    if not b:
+        return a
+    exps = dict(a)
+    for v, k in b:
+        k += exps.get(v, 0)
+        if k:
+            exps[v] = k
+        else:
+            del exps[v]
+    return tuple(sorted(exps.items()))
 
-    Canonical form: variables sorted by name, no zero coefficients stored,
-    no variable kept whose exponent is zero in every term.  The zero
-    polynomial has an empty term map and an empty alphabet.
+
+def _deglex(names):
+    """Sort key of monomials in the variables `names` (sorted): total
+    degree, then the exponent vector lexicographically."""
+    def key(m):
+        exps = dict(m)
+        return sum(exps.values()), tuple(exps.get(v, 0) for v in names)
+    return key
+
+
+class ParamPolynomial:
+    """Laurent polynomial over Q in named parameters.
+
+    `terms` maps monomials (name-sorted tuples of (name, exponent) pairs,
+    exponents nonzero) to nonzero Fractions; the zero polynomial has no
+    terms.  A negative exponent stands for a parameter in a denominator.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, variables=(), terms=None):
-        vs = tuple(variables)
-        tm = dict(terms) if terms else {}
-        # canonicalize: drop zero coefficients, drop unused variables, sort
-        tm = {e: c for e, c in tm.items() if c != 0}
-        if tm:
-            used = [i for i in range(len(vs)) if any(e[i] for e in tm)]
-            order = sorted(used, key=lambda i: vs[i])
-            vs2 = tuple(vs[i] for i in order)
-            tm2 = {}
-            for e, c in tm.items():
-                key = tuple(e[i] for i in order)
-                tm2[key] = tm2.get(key, Fraction(0)) + c
-            tm = {e: c for e, c in tm2.items() if c != 0}
-            vs = vs2 if tm else ()
-        else:
-            vs = ()
-        self.vars = vs
-        self.terms = tm
+    def __init__(self, terms=None):
+        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
 
     # -- constructors ------------------------------------------------------
 
@@ -77,14 +87,16 @@ class ParamPolynomial:
 
     @classmethod
     def const(cls, value):
-        value = _as_fraction(value)
-        if value == 0:
-            return cls()
-        return cls((), {(): value})
+        return cls({(): _as_fraction(value)})
 
     @classmethod
     def variable(cls, name):
-        return cls((name,), {(1,): Fraction(1)})
+        return cls({((name, 1),): Fraction(1)})
+
+    @classmethod
+    def lift(cls, x):
+        """x itself when it is a ParamPolynomial, else the constant x."""
+        return x if isinstance(x, ParamPolynomial) else cls.const(x)
 
     # -- structure ---------------------------------------------------------
 
@@ -92,10 +104,10 @@ class ParamPolynomial:
         return not self.terms
 
     def is_constant(self):
-        return not self.vars
+        return not any(self.terms)
 
     def constant_value(self):
-        if self.vars:
+        if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
         return self.terms.get((), Fraction(0))
 
@@ -105,7 +117,17 @@ class ParamPolynomial:
     def total_degree(self):
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(k for _, k in m) for m in self.terms)
+
+    def parameters(self):
+        """Sorted names of the parameters that occur."""
+        return tuple(sorted({v for m in self.terms for v, _ in m}))
+
+    def split(self):
+        """(numerator, denominator): the polynomial self * den and the
+        monic monomial den = common_denominator([self])."""
+        den = common_denominator((self,))
+        return (self if den == 1 else self * den), den
 
     def __bool__(self):
         return bool(self.terms)
@@ -115,30 +137,10 @@ class ParamPolynomial:
             other = ParamPolynomial.const(other)
         if not isinstance(other, ParamPolynomial):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
-
-    # -- alignment of alphabets -------------------------------------------
-
-    @staticmethod
-    def _aligned(a, b):
-        if a.vars == b.vars:
-            return a.vars, a.terms, b.terms
-        vs = tuple(sorted(set(a.vars) | set(b.vars)))
-        return vs, a._remap(vs), b._remap(vs)
-
-    def _remap(self, vs):
-        idx = {v: i for i, v in enumerate(vs)}
-        pos = [idx[v] for v in self.vars]
-        out = {}
-        for e, c in self.terms.items():
-            key = [0] * len(vs)
-            for p, x in zip(pos, e):
-                key[p] = x
-            out[tuple(key)] = c
-        return out
+        return hash(frozenset(self.terms.items()))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -147,16 +149,15 @@ class ParamPolynomial:
             other = ParamPolynomial.const(other)
         if not isinstance(other, ParamPolynomial):
             return NotImplemented
-        vs, ta, tb = self._aligned(self, other)
-        out = dict(ta)
-        for e, c in tb.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return ParamPolynomial(vs, out)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) + c
+        return ParamPolynomial(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPolynomial(self.vars, {e: -c for e, c in self.terms.items()})
+        return ParamPolynomial({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -170,36 +171,42 @@ class ParamPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0:
-                return ParamPolynomial()
-            return ParamPolynomial(self.vars,
-                                   {e: k * c for e, k in self.terms.items()})
+            return ParamPolynomial({m: c * other
+                                    for m, c in self.terms.items()})
         if not isinstance(other, ParamPolynomial):
             return NotImplemented
-        vs, ta, tb = self._aligned(self, other)
         out = {}
-        for ea, ca in ta.items():
-            for eb, cb in tb.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return ParamPolynomial(vs, out)
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
+                m = _mono_mul(ma, mb)
+                out[m] = out.get(m, 0) + ca * cb
+        return ParamPolynomial(out)
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        """Division by a nonzero monomial (a constant included)."""
+        if isinstance(other, (int, Fraction)):
+            other = ParamPolynomial.const(other)
+        if not isinstance(other, ParamPolynomial):
+            return NotImplemented
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero")
+        if not other.is_monomial():
+            raise ValueError(f"can only divide by a monomial, not {other}")
+        (m, c), = other.terms.items()
+        inverse = tuple((v, -k) for v, k in m)
+        return self * ParamPolynomial({inverse: 1 / c})
+
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
+        if not isinstance(n, int):
+            raise ValueError("exponent must be an integer")
+        if n < 0:
+            return ParamPolynomial.const(1) / self ** -n
         out = ParamPolynomial.const(1)
         for _ in range(n):
             out = out * self
         return out
-
-    # -- leading term in graded lex (highest first) ------------------------
-
-    def _lead(self):
-        e = max(self.terms, key=lambda e: (sum(e), e))
-        return e, self.terms[e]
 
     def divide_exact(self, divisor):
         """Exact polynomial division; raises if the division is not exact.
@@ -207,97 +214,113 @@ class ParamPolynomial:
         If divisor | self then lead(self) = lead(divisor) * lead(quotient)
         in any monomial order, so repeated leading-term cancellation
         terminates with zero remainder exactly when the division is exact.
+        Both operands are polynomials (no negative exponents).
         """
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if divisor.is_constant():
             return self * (1 / divisor.constant_value())
-        vs, tr, td = self._aligned(self, divisor)
-        rem = dict(tr)
-        de = max(td, key=lambda e: (sum(e), e))
+        # dense exponent vectors over the joint variables make the
+        # graded-lex comparisons below plain tuple comparisons
+        names = sorted(set(self.parameters()) | set(divisor.parameters()))
+        key = _deglex(names)
+        rem = {key(m): c for m, c in self.terms.items()}
+        td = {key(m): c for m, c in divisor.terms.items()}
+        de = max(td)
         dc = td[de]
         quot = {}
         while rem:
-            re = max(rem, key=lambda e: (sum(e), e))
-            qe = tuple(a - b for a, b in zip(re, de))
+            re = max(rem)
+            qe = tuple(a - b for a, b in zip(re[1], de[1]))
             if any(x < 0 for x in qe):
                 raise ValueError("inexact polynomial division")
             qc = rem[re] / dc
-            quot[qe] = quot.get(qe, Fraction(0)) + qc
-            for e, c in td.items():
-                key = tuple(a + b for a, b in zip(qe, e))
-                nxt = rem.get(key, Fraction(0)) - qc * c
+            quot[qe] = quot.get(qe, 0) + qc
+            for (deg, e), c in td.items():
+                m = (deg + re[0] - de[0],
+                     tuple(a + b for a, b in zip(qe, e)))
+                nxt = rem.get(m, 0) - qc * c
                 if nxt:
-                    rem[key] = nxt
+                    rem[m] = nxt
                 else:
-                    rem.pop(key, None)
-        return ParamPolynomial(vs, quot)
+                    rem.pop(m, None)
+        return ParamPolynomial({
+            tuple((v, k) for v, k in zip(names, e) if k): c
+            for e, c in quot.items()})
 
     # -- evaluation and substitution ---------------------------------------
 
-    def evaluate(self, assignment):
-        """Exact value at a point; raises MissingParameter when incomplete."""
-        vals = []
-        for v in self.vars:
+    def _bad_point(self, assignment):
+        """Raise why evaluation at `assignment` failed: the first missing
+        parameter, else a vanishing denominator."""
+        for v in self.parameters():
             if v not in assignment:
                 raise MissingParameter(v)
-            vals.append(_as_fraction(assignment[v]))
+        raise DegenerateDenominator(str(self.split()[1]))
+
+    def evaluate(self, assignment):
+        """Exact value at a point; raises MissingParameter when incomplete
+        and DegenerateDenominator when a denominator vanishes there."""
         total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for x, k in zip(vals, e):
-                if k:
-                    term *= x ** k
-            total += term
+        try:
+            for m, c in self.terms.items():
+                for v, k in m:
+                    c = c * _as_fraction(assignment[v]) ** k
+                total += c
+        except (KeyError, ZeroDivisionError):
+            self._bad_point(assignment)
         return total
 
     def evaluate_mod(self, assignment, p=_PRIME):
-        """Value modulo p at an integer point (coefficients inverted mod p)."""
-        vals = []
-        for v in self.vars:
-            if v not in assignment:
-                raise MissingParameter(v)
-            vals.append(assignment[v] % p)
+        """Value modulo p at an integer point (coefficients inverted mod p);
+        raises DegenerateDenominator when a denominator vanishes mod p."""
         total = 0
-        for e, c in self.terms.items():
-            t = (c.numerator % p) * pow(c.denominator, p - 2, p) % p
-            for x, k in zip(vals, e):
-                if k:
-                    t = t * pow(x, k, p) % p
-            total = (total + t) % p
+        try:
+            for m, c in self.terms.items():
+                t = (c.numerator % p) * pow(c.denominator, p - 2, p) % p
+                for v, k in m:
+                    t = t * pow(assignment[v] % p, k, p) % p
+                total = (total + t) % p
+        except (KeyError, ValueError):
+            self._bad_point(assignment)
         return total
 
     def substitute(self, assignment):
-        """Substitute values (numbers, polynomials or fractions) for every
-        variable; returns a PolyFraction."""
-        vals = []
-        for v in self.vars:
-            if v not in assignment:
-                raise MissingParameter(v)
-            vals.append(PolyFraction.lift(assignment[v]))
-        total = PolyFraction.zero()
-        for e, c in self.terms.items():
-            term = PolyFraction.lift(ParamPolynomial.const(c))
-            for x, k in zip(vals, e):
-                for _ in range(k):
-                    term = term * x
+        """Substitute numbers or ParamPolynomials for the assigned
+        variables; the others stay symbolic.  A variable with a negative
+        exponent must receive a nonzero monomial."""
+        total = ParamPolynomial()
+        for m, c in self.terms.items():
+            term = ParamPolynomial(
+                {tuple(vk for vk in m if vk[0] not in assignment): c})
+            for v, k in m:
+                if v in assignment:
+                    try:
+                        term = term * ParamPolynomial.lift(assignment[v]) ** k
+                    except ZeroDivisionError:
+                        raise DegenerateDenominator(
+                            f"{v} = 0 in a denominator") from None
             total = total + term
         return total
 
     # -- printing ----------------------------------------------------------
 
     def __str__(self):
+        """num, num/den, or (num)/den with den the monomial of split():
+        parenthesized unless num is a single positive term."""
+        num, den = self.split()
+        if num is not self:
+            if num.is_monomial() and \
+                    not any(c < 0 for c in num.terms.values()):
+                return f"{num}/{den}"
+            return f"({num})/{den}"
         if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            c = self.terms[e]
-            factors = []
-            for v, k in zip(self.vars, e):
-                if k == 1:
-                    factors.append(v)
-                elif k > 1:
-                    factors.append(f"{v}^{k}")
+        for m in sorted(self.terms, key=_deglex(self.parameters()),
+                        reverse=True):
+            c = self.terms[m]
+            factors = [v if k == 1 else f"{v}^{k}" for v, k in m]
             if not factors:
                 body = str(abs(c))
             elif abs(c) == 1:
@@ -316,141 +339,16 @@ class ParamPolynomial:
         return f"ParamPolynomial({self})"
 
 
-# Convenience aliases used throughout the package.
-P0 = ParamPolynomial.zero
-P1 = ParamPolynomial.const
-PV = ParamPolynomial.variable
-
-
-class PolyFraction:
-    """Quotient num/den where den is a monic monomial (e.g. a power of C144).
-
-    This is exactly the shape of the non-polynomial structure constants in
-    the catalog: polynomial numerators over powers of a single assumed-nonzero
-    parameter.  Canonical form: den has coefficient 1 and shares no variable
-    power with every term of num.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = ParamPolynomial.const(1)
-        if not isinstance(num, ParamPolynomial) or not isinstance(den, ParamPolynomial):
-            raise TypeError("PolyFraction needs ParamPolynomial parts")
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if not den.is_monomial():
-            raise ValueError("denominator must be a monomial")
-        (de, dc), = den.terms.items()
-        if dc != 1:
-            num = num * (1 / dc)
-            den = ParamPolynomial(den.vars, {de: Fraction(1)})
-        if num.is_zero():
-            den = ParamPolynomial.const(1)
-        elif den.vars:
-            # cancel common variable powers
-            vs, tn, td = ParamPolynomial._aligned(num, den)
-            (de,), = (list(td.keys()),)
-            mins = [min(e[i] for e in tn) for i in range(len(vs))]
-            cancel = tuple(min(m, d) for m, d in zip(mins, de))
-            if any(cancel):
-                tn = {tuple(a - b for a, b in zip(e, cancel)): c
-                      for e, c in tn.items()}
-                de = tuple(a - b for a, b in zip(de, cancel))
-                num = ParamPolynomial(vs, tn)
-                den = ParamPolynomial(vs, {de: Fraction(1)})
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def zero(cls):
-        return cls(ParamPolynomial.zero())
-
-    @classmethod
-    def lift(cls, x):
-        if isinstance(x, PolyFraction):
-            return x
-        if isinstance(x, ParamPolynomial):
-            return cls(x)
-        return cls(ParamPolynomial.const(_as_fraction(x)))
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def is_polynomial(self):
-        return self.den.is_constant()
-
-    def as_polynomial(self):
-        if not self.is_polynomial():
-            raise ValueError(f"not a polynomial: {self}")
-        return self.num
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, ParamPolynomial)):
-            other = PolyFraction.lift(other)
-        if not isinstance(other, PolyFraction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        other = PolyFraction.lift(other)
-        num = self.num * other.den + other.num * self.den
-        return PolyFraction(num, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyFraction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-PolyFraction.lift(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = PolyFraction.lift(other)
-        return PolyFraction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = PolyFraction.lift(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero fraction")
-        if not other.num.is_monomial():
-            raise ValueError("can only divide by monomial fractions")
-        (ne, nc), = other.num.terms.items()
-        inv_num = self.num * other.den * (1 / nc)
-        inv_den = ParamPolynomial(other.num.vars, {ne: Fraction(1)})
-        return PolyFraction(inv_num, self.den * inv_den)
-
-    def evaluate(self, assignment):
-        d = self.den.evaluate(assignment)
-        if d == 0:
-            raise DegenerateDenominator(str(self.den))
-        return self.num.evaluate(assignment) / d
-
-    def parameters(self):
-        return tuple(sorted(set(self.num.vars) | set(self.den.vars)))
-
-    def __str__(self):
-        if self.den.is_constant():
-            return str(self.num)
-        den_s = str(self.den)
-        if self.num.is_monomial() and not any(c < 0 for c in self.num.terms.values()):
-            return f"{self.num}/{den_s}"
-        return f"({self.num})/{den_s}"
-
-    def __repr__(self):
-        return f"PolyFraction({self})"
+def common_denominator(polys):
+    """The least monic monomial whose product with each of `polys` is a
+    polynomial: each parameter to its largest negative exponent."""
+    den = {}
+    for p in polys:
+        for m in p.terms:
+            for v, k in m:
+                if -k > den.get(v, 0):
+                    den[v] = -k
+    return ParamPolynomial({tuple(sorted(den.items())): Fraction(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +357,7 @@ class PolyFraction:
 
 def parse_fraction(text):
     """Parse '+ - * / ^ ( )' expressions over integers and parameter names
-    into a PolyFraction.  Division is only supported by monomials."""
+    into a ParamPolynomial.  Division is only supported by monomials."""
     tokens = _tokenize(text)
     pos = [0]
 
@@ -504,11 +402,7 @@ def parse_fraction(text):
             t = take()
             if not (isinstance(t, tuple) and t[0] == "int"):
                 raise ValueError("exponent must be an integer")
-            n = t[1]
-            if exp_sign < 0:
-                node = PolyFraction.lift(1) / _power(node, n)
-            else:
-                node = _power(node, n)
+            node = node ** (exp_sign * t[1])
         return node * sign
 
     def parse_atom():
@@ -521,16 +415,10 @@ def parse_fraction(text):
         if isinstance(t, tuple):
             kind, value = t
             if kind == "int":
-                return PolyFraction.lift(value)
+                return ParamPolynomial.const(value)
             if kind == "name":
-                return PolyFraction.lift(ParamPolynomial.variable(value))
+                return ParamPolynomial.variable(value)
         raise ValueError(f"unexpected token {t!r} in {text!r}")
-
-    def _power(node, n):
-        out = PolyFraction.lift(1)
-        for _ in range(n):
-            out = out * node
-        return out
 
     node = parse_expr()
     if pos[0] != len(tokens):
@@ -539,8 +427,11 @@ def parse_fraction(text):
 
 
 def parse_polynomial(text):
-    frac = parse_fraction(text)
-    return frac.as_polynomial()
+    """parse_fraction, rejecting a result with a denominator."""
+    p = parse_fraction(text)
+    if p.split()[1] != 1:
+        raise ValueError(f"not a polynomial: {p}")
+    return p
 
 
 def _tokenize(text):
@@ -589,8 +480,7 @@ class PolyMatrix:
             for (r, c), p in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise IndexError((r, c))
-                if isinstance(p, (int, Fraction)):
-                    p = ParamPolynomial.const(p)
+                p = ParamPolynomial.lift(p)
                 if not p.is_zero():
                     self.entries[(r, c)] = p
 
@@ -603,8 +493,7 @@ class PolyMatrix:
             if len(row) != cols:
                 raise ValueError("ragged rows")
             for c, p in enumerate(row):
-                entries[(r, c)] = p if isinstance(p, ParamPolynomial) \
-                    else ParamPolynomial.const(p)
+                entries[(r, c)] = ParamPolynomial.lift(p)
         return cls(rows, cols, entries)
 
     def entry(self, r, c):
@@ -620,7 +509,7 @@ class PolyMatrix:
     def parameters(self):
         out = set()
         for p in self.entries.values():
-            out.update(p.vars)
+            out.update(p.parameters())
         return tuple(sorted(out))
 
     def __eq__(self, other):
@@ -663,30 +552,17 @@ class SymbolicGeneric:
 
     variant = "symbolic-generic"
 
-    def describe(self):
-        return {"variant": self.variant}
-
 
 class Randomized:
     """Max rank over integer specializations; a generic-rank lower bound."""
 
     variant = "randomized"
 
-    def __init__(self, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS,
-                 coeff_range=DEFAULT_COEFF_RANGE):
+    def __init__(self, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
         if trials < 1:
             raise ValueError("trials must be >= 1")
-        lo, hi = coeff_range
-        if lo >= hi:
-            raise ValueError("empty coefficient range")
         self.seed = seed
         self.trials = trials
-        self.coeff_range = (lo, hi)
-
-    def describe(self):
-        return {"variant": self.variant, "seed": self.seed,
-                "trials": self.trials,
-                "range": list(self.coeff_range)}
 
 
 class Specialized:
@@ -697,11 +573,6 @@ class Specialized:
     def __init__(self, assignment):
         self.assignment = {k: _as_fraction(v) for k, v in assignment.items()}
 
-    def describe(self):
-        return {"variant": self.variant,
-                "assignment": {k: str(v) for k, v in
-                               sorted(self.assignment.items())}}
-
 
 def matrix_rank(M, mode, nonzero=()):
     """(rank, kernel_dim) of M under the given mode.
@@ -710,7 +581,8 @@ def matrix_rank(M, mode, nonzero=()):
     Randomized sampling rejects points on their zero locus and Specialized
     refuses points violating them.
     """
-    nonzero = [p if isinstance(p, ParamPolynomial) else PV(p) for p in nonzero]
+    nonzero = [p if isinstance(p, ParamPolynomial)
+               else ParamPolynomial.variable(p) for p in nonzero]
     if isinstance(mode, SymbolicGeneric):
         r = _rank_symbolic(M)
     elif isinstance(mode, Randomized):
@@ -788,15 +660,18 @@ def _rank_symbolic(M):
 
 
 def _rank_randomized(M, mode, nonzero):
-    params = set(M.parameters())
+    # rejection sampling would never find a point off a zero polynomial
     for p in nonzero:
-        params.update(p.vars)
+        if p.is_zero():
+            raise DegenerateDenominator(
+                "nondegeneracy polynomial is identically zero")
+    params = M.parameters()
     if not params:
         # every trial would eliminate the same matrix; take the exact rank
-        return _rank_specialized(M, Specialized({}), nonzero)
-    params = sorted(params)
+        return _rank_specialized(M, Specialized({}), ())
+    params = sorted(set(params).union(*(p.parameters() for p in nonzero)))
     rng = random.Random(mode.seed)
-    lo, hi = mode.coeff_range
+    lo, hi = _COEFF_RANGE
     best = 0
     limit = min(M.rows, M.cols)
     for _ in range(mode.trials):

@@ -9,18 +9,14 @@ Two sources of algebras live here:
   used for the bracket-coefficient analysis of candidate plane fields.
 
 Structure constants are stored sparsely as c[(i, j, k)] for i < j, meaning
-[y_i, y_j] = sum_k c[(i, j, k)] y_k, with values in PolyFraction so that
-denominators like powers of C144 are carried exactly.
+[y_i, y_j] = sum_k c[(i, j, k)] y_k, with values in ParamPolynomial, a
+Laurent polynomial, so that denominators like powers of C144 are carried
+exactly.
 """
 
 from fractions import Fraction
 
-from .exact import (
-    ParamPolynomial,
-    PolyFraction,
-    inverse,
-    parse_fraction,
-)
+from .exact import ParamPolynomial, inverse, parse_fraction
 
 PV = ParamPolynomial.variable
 
@@ -65,7 +61,7 @@ class Vector4:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = tuple(PolyFraction.lift(x) for x in coeffs)
+        cs = tuple(ParamPolynomial.lift(x) for x in coeffs)
         if len(cs) != 4:
             raise ValueError("Vector4 needs exactly 4 coefficients")
         self.coeffs = cs
@@ -97,7 +93,7 @@ class Vector4:
         return Vector4(tuple(-a for a in self.coeffs))
 
     def scale(self, s):
-        s = PolyFraction.lift(s)
+        s = ParamPolynomial.lift(s)
         return Vector4(tuple(a * s for a in self.coeffs))
 
     def __eq__(self, other):
@@ -130,7 +126,7 @@ class LieAlgebra4:
         for (i, j, k), v in constants.items():
             if not (1 <= i < j <= 4 and 1 <= k <= 4):
                 raise ValueError(f"bad structure-constant index {(i, j, k)}")
-            v = PolyFraction.lift(v)
+            v = ParamPolynomial.lift(v)
             if not v.is_zero():
                 self.c[(i, j, k)] = v
         self.nonzero = tuple(nonzero)
@@ -145,10 +141,10 @@ class LieAlgebra4:
 
     def structure_constant(self, i, j, k):
         if i == j:
-            return PolyFraction.zero()
+            return ParamPolynomial.zero()
         if i < j:
-            return self.c.get((i, j, k), PolyFraction.zero())
-        return -self.c.get((j, i, k), PolyFraction.zero())
+            return self.c.get((i, j, k), ParamPolynomial.zero())
+        return -self.c.get((j, i, k), ParamPolynomial.zero())
 
     def bracket_basis(self, i, j):
         """[y_i, y_j] as a Vector4 (cached)."""
@@ -199,11 +195,7 @@ class LieAlgebra4:
             if name in assignment and Fraction(assignment[name]) == 0:
                 raise ConstraintViolation(
                     f"{self.label}: parameter {name} must be nonzero")
-        new_c = {}
-        for key, v in self.c.items():
-            num = _subs_partial(v.num, assignment)
-            den = _subs_partial(v.den, assignment)
-            new_c[key] = num / den
+        new_c = {key: v.substitute(assignment) for key, v in self.c.items()}
         remaining = set()
         for v in new_c.values():
             remaining.update(v.parameters())
@@ -230,7 +222,7 @@ class LieAlgebra4:
                             w = w + self.bracket_basis(a, b).scale(f)
                 # convert old-basis coefficients to new-basis ones
                 for k in range(1, 5):
-                    acc = PolyFraction.zero()
+                    acc = ParamPolynomial.zero()
                     for m in range(1, 5):
                         acc = acc + w.coeff(m) * Tinv[m - 1][k - 1]
                     if not acc.is_zero():
@@ -254,17 +246,6 @@ class LieAlgebra4:
         }
 
 
-def _subs_partial(poly, assignment):
-    """Substitute only the mentioned variables, keeping the rest symbolic."""
-    full = {}
-    for v in poly.vars:
-        if v in assignment:
-            full[v] = PolyFraction.lift(assignment[v])
-        else:
-            full[v] = PolyFraction.lift(PV(v))
-    return poly.substitute(full)
-
-
 # ---------------------------------------------------------------------------
 # the generic ansatz and the six solved families
 
@@ -281,12 +262,8 @@ def engel_ansatz():
     c = dict(_FLAG)
     for (i, j) in [(1, 4), (2, 3), (2, 4), (3, 4)]:
         for k in range(1, 5):
-            c[(i, j, k)] = PolyFraction.lift(PV(f"C{i}{j}{k}"))
+            c[(i, j, k)] = PV(f"C{i}{j}{k}")
     return LieAlgebra4("ansatz", c)
-
-
-def _bracket_row(spec_text):
-    return [parse_fraction(s) for s in spec_text]
 
 
 _FAMILY_TABLE = {

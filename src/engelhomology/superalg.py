@@ -10,14 +10,14 @@ Three Z-graded bracket structures share the same machinery:
   derivative L_X = i_X d + d i_X and vectors bracket as in g.
 
 Elements are stored per graded component as sparse maps from sorted index
-tuples (basis monomials y_S or z_S) to PolyFraction coefficients.
+tuples (basis monomials y_S or z_S) to ParamPolynomial coefficients.
 """
 
 from math import comb
 
 import itertools
 
-from .exact import PolyFraction
+from .exact import ParamPolynomial
 from .liealg import Vector4
 
 MULTIVECTOR = "multivector"
@@ -97,7 +97,7 @@ class GradedElement:
                         any(not 1 <= i <= 4 for i in idx) or \
                         list(idx) != sorted(set(idx)):
                     raise ValueError(f"bad basis tuple {idx} for {component}")
-                v = PolyFraction.lift(v)
+                v = ParamPolynomial.lift(v)
                 if not v.is_zero():
                     self.coeffs[idx] = v
 
@@ -113,7 +113,7 @@ class GradedElement:
         return not self.coeffs
 
     def coefficient(self, idx):
-        return self.coeffs.get(tuple(idx), PolyFraction.zero())
+        return self.coeffs.get(tuple(idx), ParamPolynomial.zero())
 
     def _require_same(self, other):
         if self.component != other.component:
@@ -136,7 +136,7 @@ class GradedElement:
         return self + (-other)
 
     def scale(self, s):
-        s = PolyFraction.lift(s)
+        s = ParamPolynomial.lift(s)
         return GradedElement(self.component,
                              {i: v * s for i, v in self.coeffs.items()})
 

@@ -22,11 +22,10 @@ from math import comb
 import itertools
 
 from .exact import (
-    ParamPolynomial,
-    PolyFraction,
     PolyMatrix,
     Randomized,
     Specialized,
+    common_denominator,
     matrix_rank,
 )
 from .superalg import (
@@ -285,7 +284,8 @@ class _BoundaryBuilder:
         return got
 
     def fraction_columns(self, weight, m, basis_m=None, basis_prev=None):
-        """Raw differential as {column: {row: PolyFraction}}.
+        """Raw differential as {column: {row: ParamPolynomial}}, entries
+        with denominators.
 
         Unlike the cleared matrix, these columns compose: the chain-map
         identity d_{m} after d_{m+1} = 0 only holds before clearing.
@@ -333,13 +333,9 @@ class _BoundaryBuilder:
         return _cleared_matrix(basis_prev.dimension, basis_m.dimension, columns)
 
 
-def _monomial_exponents(p):
-    (e,), = (list(p.terms.keys()),)
-    return dict(zip(p.vars, e))
-
-
 def _cleared_matrix(rows, cols, columns):
-    """Clear PolyFraction denominators column by column.
+    """Clear denominators column by column: each column is multiplied by
+    the common denominator of its entries.
 
     Multiplying a column by a nonzero monomial (a product of declared
     nonzero parameters) changes neither rank nor kernel dimension on the
@@ -347,25 +343,9 @@ def _cleared_matrix(rows, cols, columns):
     """
     entries = {}
     for col, by_row in columns.items():
-        lcm = {}
-        for v in by_row.values():
-            if not v.den.is_constant():
-                for var, e in _monomial_exponents(v.den).items():
-                    lcm[var] = max(lcm.get(var, 0), e)
+        den = common_denominator(by_row.values())
         for row, v in by_row.items():
-            poly = v.num
-            if lcm:
-                mult = dict(lcm)
-                if not v.den.is_constant():
-                    for var, e in _monomial_exponents(v.den).items():
-                        mult[var] -= e
-                mult = {var: e for var, e in mult.items() if e}
-                if mult:
-                    vs = tuple(sorted(mult))
-                    mono = ParamPolynomial(
-                        vs, {tuple(mult[x] for x in vs): Fraction(1)})
-                    poly = poly * mono
-            entries[(row, col)] = poly
+            entries[(row, col)] = v * den
     return PolyMatrix(rows, cols, entries)
 
 

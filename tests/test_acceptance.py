@@ -32,7 +32,6 @@ from engelhomology.engel import (
 )
 from engelhomology.exact import (
     ParamPolynomial,
-    PolyFraction,
     Randomized,
     Specialized,
     inverse,
@@ -323,7 +322,7 @@ EXT_LETTERS = [y(i) for i in range(1, 5)] + FORM_LETTERS
 
 
 def _compose_entries(cols_hi, cols_lo):
-    """Entries of the composite boundary, exact PolyFraction arithmetic."""
+    """Entries of the composite boundary, exact ParamPolynomial arithmetic."""
     out = []
     for col, by_mid in cols_hi.items():
         acc = {}
@@ -444,7 +443,7 @@ def _classical_ce_columns(g, k, module=(0,)):
 
 
 def _fraction_rank(columns):
-    """Exact rank over Q of {column: {row: constant PolyFraction}}."""
+    """Exact rank over Q of {column: {row: constant ParamPolynomial}}."""
     pivots = {}
     for by_row in columns.values():
         v = {r: x.evaluate({}) for r, x in by_row.items()}
@@ -596,7 +595,7 @@ def test_criterion_07_flag_coefficient_suite():
         report = elc_formula_report(n)
         assert report["corrected"] == CORRECTED_FORMULAS[n][1], n
         computed = elc(class_type(n), PlanePair.symbolic()).value
-        assert (computed - PolyFraction.lift(CORRECTED_FORMULAS[n][0]())) \
+        assert (computed - ParamPolynomial.lift(CORRECTED_FORMULAS[n][0]())) \
             .is_zero(), n
         print(f"discrepancy: type-{n} tabulated closed form "
               f"{report['transcribed']!r} differs from the computed "

@@ -26,7 +26,6 @@ from engelhomology.engel import (
 from engelhomology.exact import (
     MissingParameter,
     ParamPolynomial,
-    PolyFraction,
 )
 from engelhomology.liealg import (
     ConstraintViolation,
@@ -57,12 +56,12 @@ def test_plane_pair_validation():
 def test_elc_type1_closed_form():
     got = elc(class_type(1), PlanePair.symbolic()).value
     want = PV("p4") * _D(3, 4) ** 3
-    assert (got - PolyFraction.lift(want)).is_zero()
+    assert (got - ParamPolynomial.lift(want)).is_zero()
 
 
 def test_elc_type1_witness_value():
     value = elc(class_type(1), PlanePair((0, 0, 0, 1), (0, 0, 1, 0))).value
-    assert value == PolyFraction.lift(-1)
+    assert value == ParamPolynomial.lift(-1)
 
 
 @given(p=st.tuples(rationals, rationals, rationals, rationals),
@@ -79,7 +78,7 @@ def test_elc_shear_invariance():
     for n in (1, 8, 12):
         base = PlanePair.symbolic()
         sheared = PlanePair(base.p,
-                            tuple(q + p * PolyFraction.lift(lam)
+                            tuple(q + p * ParamPolynomial.lift(lam)
                                   for p, q in zip(base.p, base.q)))
         alg = class_type(n)
         assert (elc(alg, base).value - elc(alg, sheared).value).is_zero()
@@ -87,7 +86,7 @@ def test_elc_shear_invariance():
 
 def test_elc_scaling_degrees():
     # w1 enters the tower three times, w2 once
-    lam = PolyFraction.lift(Fraction(2))
+    lam = ParamPolynomial.lift(Fraction(2))
     base = PlanePair.symbolic()
     alg = class_type(10)
     v = elc(alg, base).value
@@ -119,9 +118,9 @@ def test_formula_reports(n):
 
 def test_corrected_formula_9_is_exact():
     computed = elc(class_type(9), PlanePair.symbolic()).value
-    want = PolyFraction.lift(CORRECTED_FORMULAS[9][0]())
+    want = ParamPolynomial.lift(CORRECTED_FORMULAS[9][0]())
     assert (computed - want).is_zero()
-    bad = PolyFraction.lift(transcribed_formula(9))
+    bad = ParamPolynomial.lift(transcribed_formula(9))
     assert not (computed - bad).is_zero()
 
 
@@ -214,8 +213,8 @@ def test_foliation_families_with_uniform_line():
         f = characteristic_foliation(family(n))
         assert f.kind == "line"
         u, v = f.direction
-        want_u = PolyFraction.lift(PV("C234"))
-        want_v = PolyFraction.lift(-1)
+        want_u = ParamPolynomial.lift(PV("C234"))
+        want_v = ParamPolynomial.lift(-1)
         assert (u * want_v - v * want_u).is_zero(), n
         assert f.describe() == "span(C234*y1 - y2)"
         assert foliation_containment(family(n), f.direction)
@@ -226,8 +225,8 @@ def test_foliation_family3_line():
     f = characteristic_foliation(family(3))
     assert f.kind == "line"
     u, v = f.direction
-    want_u = PolyFraction.lift(PV("C244"))
-    want_v = PolyFraction.lift(-PV("C144"))
+    want_u = ParamPolynomial.lift(PV("C244"))
+    want_v = ParamPolynomial.lift(-PV("C144"))
     assert (u * want_v - v * want_u).is_zero()
     assert f.describe() == "span(C244*y1 - C144*y2)"
     assert foliation_containment(family(3), f.direction)

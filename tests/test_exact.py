@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from engelhomology.exact import (
     ParamPolynomial,
-    PolyFraction,
     PolyMatrix,
     SymbolicGeneric,
     Randomized,
@@ -40,7 +39,7 @@ def test_zero_and_const():
 def test_unused_variables_dropped():
     a, b = PV("a"), PV("b")
     p = a + b - b
-    assert p.vars == ("a",)
+    assert p.parameters() == ("a",)
     assert p == a
 
 
@@ -120,42 +119,84 @@ def test_divide_exact_property(cs, ds):
 
 def test_fraction_cancellation():
     c = PV("C144")
-    f = PolyFraction(c * c * PV("C244"), c)
-    assert f.num == c * PV("C244")
-    assert f.den == PC(1)
+    f = (c * c * PV("C244")) / c
+    num, den = f.split()
+    assert num == c * PV("C244")
+    assert den == PC(1)
 
 
 def test_fraction_monic_denominator():
     c = PV("C144")
-    f = PolyFraction(PV("C244"), 2 * c)
-    assert f.den == c
-    assert f.num == Fraction(1, 2) * PV("C244")
+    f = PV("C244") / (2 * c)
+    num, den = f.split()
+    assert den == c
+    assert num == Fraction(1, 2) * PV("C244")
 
 
 def test_fraction_arithmetic():
     c, d = PV("C144"), PV("C244")
-    f = PolyFraction(d, c)       # d/c
-    g = PolyFraction(PC(1), c)   # 1/c
-    assert f + g == PolyFraction(d + 1, c)
-    assert f * g == PolyFraction(d, c * c)
-    assert f - f == PolyFraction.zero()
-    assert (f / g) == PolyFraction.lift(d)
+    f = d / c       # d/c
+    g = PC(1) / c   # 1/c
+    assert f + g == (d + 1) / c
+    assert f * g == d / (c * c)
+    assert f - f == ParamPolynomial.zero()
+    assert (f / g) == ParamPolynomial.lift(d)
 
 
 def test_fraction_evaluate():
     c, d = PV("C144"), PV("C244")
-    f = PolyFraction(d, c * c)
+    f = d / (c * c)
     assert f.evaluate({"C144": 2, "C244": 3}) == Fraction(3, 4)
     with pytest.raises(DegenerateDenominator):
         f.evaluate({"C144": 0, "C244": 3})
 
 
+def test_laurent_str():
+    s, t, u, x = PV("s"), PV("t"), PV("u"), PV("x")
+    assert str(-s / t) == "(-s)/t"
+    assert str(3 * x / t) == "3*x/t"
+    assert str((s * s + 2 * x - 1) / t ** 2) == "(s^2 + 2*x - 1)/t^2"
+    assert str(x / (t * u ** 2)) == "x/t*u^2"
+    assert str(s / t + x / u) == "(s*u + t*x)/t*u"
+
+
+def test_evaluate_missing_and_degenerate():
+    f = PV("b") / PV("a") + PV("c")
+    with pytest.raises(MissingParameter) as err:
+        f.evaluate({"b": 1})
+    assert err.value.args == ("a",)
+    with pytest.raises(DegenerateDenominator):
+        f.evaluate_mod({"a": 0, "b": 1, "c": 2})
+    with pytest.raises(DegenerateDenominator):
+        f.evaluate_mod({"a": 2**31 - 1, "b": 1, "c": 2})
+    assert f.evaluate_mod({"a": 2, "b": 6, "c": 1}) == 4
+
+
+_laurent = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-2, 2)),
+    max_size=4).map(lambda terms: sum(
+        (c * PV("a") ** i * PV("b") ** j for c, i, j in terms),
+        ParamPolynomial.zero()))
+
+
+@given(_laurent, st.integers(1, 9), st.integers(-9, -1))
+@settings(max_examples=60, deadline=None)
+def test_split_is_numerator_over_monic_monomial(f, x, y):
+    num, den = f.split()
+    assert f == num / den
+    assert all(k > 0 for m in num.terms for _, k in m)
+    (m, c), = den.terms.items()
+    assert c == 1 and all(k > 0 for _, k in m)
+    point = {"a": x, "b": y}
+    assert f.evaluate(point) == num.evaluate(point) / den.evaluate(point)
+
+
 def test_substitute_into_fraction():
     a, b = PV("a"), PV("b")
     p = a * b + b
-    val = p.substitute({"a": PolyFraction(PV("x"), PV("y")), "b": PolyFraction.lift(2)})
+    val = p.substitute({"a": PV("x") / PV("y"), "b": ParamPolynomial.lift(2)})
     # 2x/y + 2 = (2x + 2y)/y
-    assert val == PolyFraction(2 * PV("x") + 2 * PV("y"), PV("y"))
+    assert val == (2 * PV("x") + 2 * PV("y")) / PV("y")
 
 
 # -- parsing ---------------------------------------------------------------
@@ -170,7 +211,7 @@ def test_parse_polynomial():
 def test_parse_fraction():
     f = parse_fraction("C244/C144^2*(-C142*C244 + C142*C144)")
     c142, c144, c244 = PV("C142"), PV("C144"), PV("C244")
-    want = PolyFraction(c244 * (c142 * c144 - c142 * c244), c144 * c144)
+    want = (c244 * (c142 * c144 - c142 * c244)) / (c144 * c144)
     assert f == want
 
 
@@ -430,5 +471,15 @@ def test_randomized_parameter_free_is_exact(monkeypatch):
     assert matrix_rank(M, Randomized(seed=3)) == \
         matrix_rank(M, Specialized({})) == (2, 1)
     assert matrix_rank(M, Randomized(), nonzero=[PC(7)]) == (2, 1)
+    assert matrix_rank(M, Randomized(), nonzero=[PV("a")]) == (2, 1)
     with pytest.raises(DegenerateDenominator):
         matrix_rank(M, Randomized(), nonzero=[PC(0)])
+
+
+def test_randomized_rejects_zero_nondegeneracy_polynomial():
+    # rejection sampling would draw points forever
+    M = PolyMatrix.from_rows([[PV("a")]])
+    with pytest.raises(DegenerateDenominator):
+        matrix_rank(M, Randomized(), nonzero=[PC(0)])
+    with pytest.raises(DegenerateDenominator):
+        matrix_rank(M, Randomized(), nonzero=[PV("a") - PV("a")])

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from engelhomology.exact import ParamPolynomial, PolyFraction, parse_fraction
+from engelhomology.exact import ParamPolynomial, parse_fraction
 from engelhomology.liealg import (
     ConstraintViolation,
     FamilyId,
@@ -99,7 +99,7 @@ def test_ansatz_residuals_are_nontrivial():
     h = family(1).specialize({"C143": 1, "C144": 1, "C234": 1, "C244": 1})
     assert h.is_lie()
     broken = LieAlgebra4("broken", dict(h.c))
-    broken.c[(3, 4, 1)] = PolyFraction.lift(1)
+    broken.c[(3, 4, 1)] = ParamPolynomial.lift(1)
     broken = LieAlgebra4("broken", broken.c)
     assert not broken.is_lie()
 
@@ -118,7 +118,7 @@ def test_families_solve_the_ansatz():
         for key, res in residuals.items():
             if res.is_zero():
                 continue
-            val = res.num.substitute(values)
+            val = res.split()[0].substitute(values)
             assert val.is_zero(), f"family {n}, residual {key}"
 
 
@@ -178,7 +178,7 @@ def test_symbolic_type_parameters_remain():
     assert t5.params == ("a", "b")
     assert t5.nonzero == ("a", "b")
     t9 = class_type(9)
-    assert t9.structure_constant(1, 4, 1) == PolyFraction.lift(PV("b") + 1)
+    assert t9.structure_constant(1, 4, 1) == ParamPolynomial.lift(PV("b") + 1)
 
 
 # -- basis change ----------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from engelhomology.exact import ParamPolynomial, PolyFraction
+from engelhomology.exact import ParamPolynomial
 from engelhomology.liealg import Vector4, class_type, family
 from engelhomology.superalg import (
     FORM,
@@ -98,7 +98,7 @@ def test_wedge_associative():
 
 def test_dz_family4():
     g = family(4)
-    C231, C234, C244 = (PolyFraction.lift(PV(s))
+    C231, C234, C244 = (ParamPolynomial.lift(PV(s))
                         for s in ("C231", "C234", "C244"))
     assert ce_differential(g, z(1)) == z(2, 3).scale(-C231)
     assert ce_differential(g, z(2)).is_zero()
@@ -201,7 +201,7 @@ def test_schouten_super_jacobi_specialized():
 
 def test_form_bracket_with_constants():
     g = family(4)
-    C231 = PolyFraction.lift(PV("C231"))
+    C231 = ParamPolynomial.lift(PV("C231"))
     # [1, w] = dw and [w, 1] = (-1)^p dw
     assert form_bracket(g, ONE, z(1)) == z(2, 3).scale(-C231)
     assert form_bracket(g, z(1), ONE) == z(2, 3).scale(C231)
@@ -268,8 +268,8 @@ def test_interior_antiderivation():
 
 def test_lie_derivative_family4_oracle():
     g = family(4)
-    C234 = PolyFraction.lift(PV("C234"))
-    C244 = PolyFraction.lift(PV("C244"))
+    C234 = ParamPolynomial.lift(PV("C234"))
+    C244 = ParamPolynomial.lift(PV("C244"))
     got = lie_derivative(g, y(2), z(4))
     assert got == z(3).scale(-C234) + z(4).scale(-C244)
 
@@ -337,8 +337,8 @@ def test_lie_derivative_bracket_identity():
 
 def test_extended_bracket_sectors():
     g = family(4)
-    C234 = PolyFraction.lift(PV("C234"))
-    C244 = PolyFraction.lift(PV("C244"))
+    C234 = ParamPolynomial.lift(PV("C234"))
+    C244 = ParamPolynomial.lift(PV("C244"))
     # vector/vector agrees with the Lie bracket
     assert extended_bracket(g, y(2), y(3)) == \
         vector_element(g.bracket(Vector4.basis(2), Vector4.basis(3)))

@@ -14,7 +14,6 @@ import pytest
 
 from engelhomology.exact import (
     ParamPolynomial,
-    PolyFraction,
     Randomized,
     Specialized,
     SymbolicGeneric,
