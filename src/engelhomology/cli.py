@@ -17,12 +17,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from .engel import (
-    FORMULA_STRINGS,
     PlanePair,
     characteristic_foliation,
     elc,
     elc_formula_report,
     foliation_containment,
+    render_sum,
 )
 from .exact import (
     DegenerateDenominator,
@@ -132,38 +132,13 @@ def _pick_algebra(args):
     return _load_inline(args.inline)
 
 
-def _render_bracket_value(vec):
-    parts = []
-    for k in range(1, 5):
-        c = vec.coeff(k)
-        if c.is_zero():
-            continue
-        s = str(c)
-        if s == "1":
-            parts.append(f"y{k}")
-        elif s == "-1":
-            parts.append(f"-y{k}")
-        elif " " in s:
-            parts.append(f"({s}) y{k}")
-        else:
-            parts.append(f"{s} y{k}")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for part in parts[1:]:
-        if part.startswith("-"):
-            out += f" - {part[1:]}"
-        else:
-            out += f" + {part}"
-    return out
-
-
 def _bracket_lines(algebra):
     lines = []
     for i in range(1, 5):
         for j in range(i + 1, 5):
-            value = algebra.bracket_basis(i, j)
-            lines.append(f"[y{i},y{j}] = {_render_bracket_value(value)}")
+            value = render_sum(((algebra.structure_constant(i, j, k), f"y{k}")
+                                for k in range(1, 5)), " ")
+            lines.append(f"[y{i},y{j}] = {value}")
     return lines
 
 

@@ -13,14 +13,19 @@ Det(i,j) = p_i q_j - p_j q_i; those closed forms are transcribed here
 and checked against the computed polynomial.
 """
 
+import re
 from fractions import Fraction
 from itertools import product
 
-from .exact import MissingParameter, ParamPolynomial, row_reduce
+from .exact import (
+    MissingParameter,
+    ParamPolynomial,
+    parse_fraction,
+    row_reduce,
+)
 from .liealg import (
     ClassTypeId,
     ConstraintViolation,
-    LieAlgebra4,
     Vector4,
     class_type,
 )
@@ -109,47 +114,17 @@ def _minor(i, j):
     return PV(f"p{i}") * PV(f"q{j}") - PV(f"p{j}") * PV(f"q{i}")
 
 
-def _build_formula(n):
-    p2, p3, p4 = PV("p2"), PV("p3"), PV("p4")
-    a, b = PV("a"), PV("b")
-    D = _minor
-    one = ParamPolynomial.const(1)
-    if n in (1, 4):
-        return p4 * D(3, 4) ** 3
-    if n == 2:
-        return (a - one) ** 2 * p4 * D(1, 4) * D(3, 4) ** 2
-    if n == 3:
-        return p4 * D(1, 4) * D(3, 4) ** 2
-    if n == 5:
-        return ((a - one) * (b - one) * (a - b)
-                * p4 * D(1, 4) * D(2, 4) * D(3, 4))
-    if n == 6:
-        return (((a - b) ** 2 + one) * p4 * D(1, 4)
-                * (D(2, 4) ** 2 + D(3, 4) ** 2))
-    if n == 7:
-        return D(3, 4) ** 2 * (p4 * D(1, 4) + p4 * D(2, 3) + p3 * D(3, 4))
-    if n == 8:
-        return (ParamPolynomial.const(-2) * D(2, 4) * D(3, 4)
-                * (p4 * D(1, 4) - p3 * D(2, 4) - p2 * D(3, 4)))
-    if n == 9:
-        return (-(b - one) * D(2, 4) * D(3, 4)
-                * (p3 * D(1, 4) + b * (p4 * D(1, 4) - p2 * D(3, 4))))
-    if n == 10:
-        return ((D(2, 4) ** 2 + D(3, 4) ** 2)
-                * (p4 * D(1, 4) + p2 * D(2, 4) + p3 * D(3, 4)))
-    if n == 11:
-        return ((D(2, 4) ** 2 + D(3, 4) ** 2)
-                * (a ** 2 * p4 * D(1, 4) + a * p4 * D(2, 3)
-                   + p4 * D(1, 4) + p2 * D(2, 4) + p3 * D(3, 4)))
-    if n == 12:
-        return (p4 * D(3, 4)
-                * (D(1, 3) ** 2 + D(1, 4) ** 2 + D(2, 3) ** 2
-                   + D(2, 4) ** 2 + ParamPolynomial.const(2)
-                   * D(1, 2) * D(3, 4)))
-    raise ConstraintViolation(f"type index out of range: {n!r}")
+def _parse_formula(text):
+    """The closed form printed as `text`, with each Det(i,j) expanded to
+    the plane minor p_i q_j - p_j q_i."""
+    minors = {f"Det{i}{j}": _minor(i, j)
+              for i in range(1, 5) for j in range(i + 1, 5)}
+    return parse_fraction(
+        re.sub(r"Det\((\d),(\d)\)", r"Det\1\2", text)).substitute(minors)
 
 
-# display strings in minor notation, matching the transcription
+# the transcribed closed forms in minor notation, as printed;
+# transcribed_formula parses them
 FORMULA_STRINGS = {
     1: "p4*Det(3,4)^3",
     2: "(a-1)^2*p4*Det(1,4)*Det(3,4)^2",
@@ -170,23 +145,16 @@ FORMULA_STRINGS = {
 
 def transcribed_formula(n):
     ClassTypeId(n)
-    return _build_formula(n)
+    return _parse_formula(FORMULA_STRINGS[n])
 
 
-def _corrected_formula_9():
-    # the transcription prints p3*Det(1,4) in the inner factor; expanding
-    # the bracket tower gives p3*Det(2,4), and only that version matches
-    p2, p3, p4 = PV("p2"), PV("p3"), PV("p4")
-    b = PV("b")
-    one = ParamPolynomial.const(1)
-    D = _minor
-    return (-(b - one) * D(2, 4) * D(3, 4)
-            * (p3 * D(2, 4) + b * (p4 * D(1, 4) - p2 * D(3, 4))))
-
+# the transcription prints p3*Det(1,4) in type 9's inner factor; expanding
+# the bracket tower gives p3*Det(2,4), and only that version matches
+_CORRECTED_9 = (
+    "-(b-1)*Det(2,4)*Det(3,4)*(p3*Det(2,4)+b*(p4*Det(1,4)-p2*Det(3,4)))")
 
 CORRECTED_FORMULAS = {
-    9: (_corrected_formula_9,
-        "-(b-1)*Det(2,4)*Det(3,4)*(p3*Det(2,4)+b*(p4*Det(1,4)-p2*Det(3,4)))"),
+    9: (lambda: _parse_formula(_CORRECTED_9), _CORRECTED_9),
 }
 
 
@@ -365,7 +333,7 @@ class Foliation:
             return "all lines alpha*y1 + beta*y2"
         if self.kind == "point":
             return "no nonzero direction"
-        return f"span({_render_direction(self.direction)})"
+        return f"span({render_sum(zip(self.direction, ('y1', 'y2')), '*')})"
 
     def to_json(self):
         out = {
@@ -381,24 +349,23 @@ class Foliation:
         return out
 
 
-def _render_term(coeff, name):
-    s = str(coeff)
-    if s == "1":
-        return name
-    if s == "-1":
-        return f"-{name}"
-    if " " in s:
-        return f"({s})*{name}"
-    return f"{s}*{name}"
-
-
-def _render_direction(direction):
-    u, v = direction
+def render_sum(terms, sep):
+    """The sum of coeff<sep>name over (coeff, name) pairs, zero terms
+    left out: a coefficient 1 or -1 prints as the bare name, one with
+    spaces in parentheses, and a negative term as a subtraction."""
     parts = []
-    for coeff, name in ((u, "y1"), (v, "y2")):
+    for coeff, name in terms:
         if coeff.is_zero():
             continue
-        parts.append(_render_term(coeff, name))
+        s = str(coeff)
+        if s == "1":
+            parts.append(name)
+        elif s == "-1":
+            parts.append(f"-{name}")
+        elif " " in s:
+            parts.append(f"({s}){sep}{name}")
+        else:
+            parts.append(f"{s}{sep}{name}")
     if not parts:
         return "0"
     rendered = parts[0]

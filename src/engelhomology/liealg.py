@@ -118,7 +118,7 @@ class LieAlgebra4:
     degenerate locus.
     """
 
-    __slots__ = ("label", "c", "nonzero", "_bracket_cache")
+    __slots__ = ("label", "c", "nonzero")
 
     def __init__(self, label, constants, nonzero=()):
         self.label = label
@@ -130,7 +130,6 @@ class LieAlgebra4:
             if not v.is_zero():
                 self.c[(i, j, k)] = v
         self.nonzero = tuple(nonzero)
-        self._bracket_cache = {}
 
     @property
     def params(self):
@@ -147,27 +146,18 @@ class LieAlgebra4:
         return -self.c.get((j, i, k), ParamPolynomial.zero())
 
     def bracket_basis(self, i, j):
-        """[y_i, y_j] as a Vector4 (cached)."""
-        key = (i, j)
-        got = self._bracket_cache.get(key)
-        if got is None:
-            got = Vector4(tuple(self.structure_constant(i, j, k)
-                                for k in range(1, 5)))
-            self._bracket_cache[key] = got
-        return got
+        """[y_i, y_j] as a Vector4."""
+        return Vector4(tuple(self.structure_constant(i, j, k)
+                             for k in range(1, 5)))
 
     def bracket(self, u, v):
-        out = Vector4.zero()
-        for i in range(1, 5):
-            ui = u.coeff(i)
-            if ui.is_zero():
-                continue
-            for j in range(1, 5):
-                vj = v.coeff(j)
-                if vj.is_zero() or i == j:
-                    continue
-                out = out + self.bracket_basis(i, j).scale(ui * vj)
-        return out
+        """[u, v] = sum of c_ijk (u_i v_j - u_j v_i) y_k over the stored
+        constants (i < j)."""
+        out = [ParamPolynomial.zero()] * 4
+        for (i, j, k), c in self.c.items():
+            minor = u.coeff(i) * v.coeff(j) - u.coeff(j) * v.coeff(i)
+            out[k - 1] = out[k - 1] + c * minor
+        return Vector4(out)
 
     def jacobi_residuals(self):
         """All 16 labelled residual entries of the Jacobi identity.
@@ -214,19 +204,13 @@ class LieAlgebra4:
         new_c = {}
         for i in range(1, 5):
             for j in range(i + 1, 5):
-                w = Vector4.zero()
-                for a in range(1, 5):
-                    for b in range(1, 5):
-                        f = T[i - 1][a - 1] * T[j - 1][b - 1]
-                        if f:
-                            w = w + self.bracket_basis(a, b).scale(f)
+                w = self.bracket(Vector4(T[i - 1]), Vector4(T[j - 1]))
                 # convert old-basis coefficients to new-basis ones
                 for k in range(1, 5):
                     acc = ParamPolynomial.zero()
                     for m in range(1, 5):
                         acc = acc + w.coeff(m) * Tinv[m - 1][k - 1]
-                    if not acc.is_zero():
-                        new_c[(i, j, k)] = acc
+                    new_c[(i, j, k)] = acc
         return LieAlgebra4(f"{self.label}~", new_c, self.nonzero)
 
     def to_json(self):

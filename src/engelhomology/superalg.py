@@ -18,7 +18,6 @@ from math import comb
 import itertools
 
 from .exact import ParamPolynomial
-from .liealg import Vector4
 
 MULTIVECTOR = "multivector"
 FORM = "form"
@@ -102,10 +101,6 @@ class GradedElement:
                     self.coeffs[idx] = v
 
     @classmethod
-    def zero(cls, component):
-        return cls(component)
-
-    @classmethod
     def monomial(cls, component, idx, coeff=1):
         return cls(component, {tuple(idx): coeff})
 
@@ -161,7 +156,7 @@ class GradedElement:
 
 
 # ---------------------------------------------------------------------------
-# conversions between Vector4 and degree-1 multivector elements
+# degree-1 multivector elements from Vector4
 
 VECTOR_COMPONENT = GradedComponent(MULTIVECTOR, 1)
 
@@ -173,14 +168,6 @@ def vector_element(vec):
         return vec
     return GradedElement(VECTOR_COMPONENT,
                          {(k,): vec.coeff(k) for k in range(1, 5)})
-
-
-def element_vector(el):
-    if isinstance(el, Vector4):
-        return el
-    if el.component != VECTOR_COMPONENT:
-        raise ValueError("expected a degree-1 multivector")
-    return Vector4(tuple(el.coefficient((k,)) for k in range(1, 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +216,7 @@ def schouten_bracket(g, P, Q):
     if P.component.species != MULTIVECTOR or Q.component.species != MULTIVECTOR:
         raise ValueError("schouten_bracket expects multivectors")
     a, b = P.component.degree, Q.component.degree
-    out_comp = GradedComponent(MULTIVECTOR, a + b - 1)
-    out = GradedElement.zero(out_comp)
+    out = {}
     for S, cp in P.coeffs.items():
         for T, cq in Q.coeffs.items():
             for s_pos, i in enumerate(S, start=1):
@@ -238,9 +224,8 @@ def schouten_bracket(g, P, Q):
                 for t_pos, j in enumerate(T, start=1):
                     rest_t = T[:t_pos - 1] + T[t_pos:]
                     base = cp * cq * ((-1) ** (s_pos + t_pos))
-                    br = g.bracket_basis(i, j)
                     for k in range(1, 5):
-                        ck = br.coeff(k)
+                        ck = g.structure_constant(i, j, k)
                         if ck.is_zero():
                             continue
                         sign, merged = _merge_tuples((k,) + rest_s, rest_t)
@@ -248,10 +233,10 @@ def schouten_bracket(g, P, Q):
                             continue
                         # (k,)+rest_s may itself be unsorted; _merge_tuples
                         # sorts the full concatenation in one pass
-                        term = GradedElement.monomial(
-                            out_comp, merged, base * ck * sign)
-                        out = out + term
-    return out
+                        v = base * ck * sign
+                        cur = out.get(merged)
+                        out[merged] = v if cur is None else cur + v
+    return GradedElement(GradedComponent(MULTIVECTOR, a + b - 1), out)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +329,7 @@ def extended_bracket(g, u, v):
     if su == MULTIVECTOR and sv == MULTIVECTOR:
         if u.component.degree != 1 or v.component.degree != 1:
             raise ValueError("extended vectors must have degree 1")
-        w = g.bracket(element_vector(u), element_vector(v))
-        return vector_element(w)
+        return schouten_bracket(g, u, v)
     if su == MULTIVECTOR and sv == FORM:
         if u.component.degree != 1:
             raise ValueError("extended vectors must have degree 1")

@@ -50,8 +50,6 @@ class ComplexKind:
     VARIANTS = (TANGENT, COTANGENT, EXTENDED)
 
     def __init__(self, variant):
-        if isinstance(variant, ComplexKind):
-            variant = variant.variant
         variant = str(variant).lower()
         if variant not in self.VARIANTS:
             raise ValueError(f"unknown complex kind {variant!r}")
@@ -72,17 +70,6 @@ class ComplexKind:
         if self.variant == COTANGENT:
             return form_bracket(g, u, v)
         return extended_bracket(g, u, v)
-
-    def __eq__(self, other):
-        if not isinstance(other, ComplexKind):
-            return NotImplemented
-        return self.variant == other.variant
-
-    def __hash__(self):
-        return hash(self.variant)
-
-    def __str__(self):
-        return self.variant
 
     def __repr__(self):
         return f"ComplexKind({self.variant})"
@@ -154,14 +141,6 @@ class WeightSignature:
             out.append(word)
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, WeightSignature):
-            return NotImplemented
-        return self.occupancy == other.occupancy
-
-    def __hash__(self):
-        return hash(self.occupancy)
-
     def __repr__(self):
         inner = ", ".join(f"{comp.species}^{comp.degree}:{k}"
                           for comp, k in self.occupancy)
@@ -215,15 +194,14 @@ def enumerate_signatures(kind, weight, m):
 class WeightedChainBasis:
     """Ordered basis of one chain space C_m in a fixed weight."""
 
-    __slots__ = ("kind", "weight", "m", "signatures", "words", "index")
+    __slots__ = ("kind", "weight", "m", "words", "index")
 
     def __init__(self, kind, weight, m):
         self.kind = _as_kind(kind)
         self.weight = weight
         self.m = m
-        self.signatures = tuple(enumerate_signatures(self.kind, weight, m))
         words = []
-        for sig in self.signatures:
+        for sig in enumerate_signatures(self.kind, weight, m):
             words.extend(sig.words())
         self.words = tuple(words)
         self.index = {w: i for i, w in enumerate(self.words)}
@@ -375,12 +353,6 @@ class BettiReport:
         self.euler = sum((-1) ** m * dim for m, dim, _, _ in self.rows)
         self.specialization = dict(specialization) if specialization else None
 
-    def row(self, m):
-        for r in self.rows:
-            if r[0] == m:
-                return r
-        raise KeyError(m)
-
     def column(self, name):
         pos = {"m": 0, "dim": 1, "ker": 2, "betti": 3}[name]
         return [r[pos] for r in self.rows]
@@ -431,10 +403,12 @@ class BettiReport:
 
 
 def _split_label(label):
-    if label.startswith("family-"):
-        return "family", int(label.split("-", 1)[1])
-    if label.startswith("type-"):
-        return "classType", int(label.split("-", 1)[1])
+    """(source, id) of a catalogue label such as family-2 or type-9; any
+    other label, family-2~ or family-x among them, is custom."""
+    prefix, _, ident = label.partition("-")
+    source = {"family": "family", "type": "classType"}.get(prefix)
+    if source and ident.isdecimal():
+        return source, int(ident)
     return "custom", label
 
 

@@ -5,7 +5,10 @@ import json
 import pytest
 
 from engelhomology.cli import main
+from engelhomology.engel import transcribed_formula
+from engelhomology.exact import parse_fraction
 from engelhomology.liealg import family
+from engelhomology.weighted import homology_report
 
 
 def run(capsys, *argv):
@@ -166,8 +169,52 @@ def test_betti_inline_algebra(tmp_path, capsys):
     assert out.split("\n")[1] == "0,1,1,1"
 
 
+def test_betti_symbolic_equals_randomized(capsys):
+    argv = ("betti", "--family", "1", "--complex", "cotangent",
+            "--weights", "-5", "--format", "json")
+    code, out, _ = run(capsys, *argv, "--mode", "symbolic")
+    assert code == 0
+    symbolic = json.loads(out)
+    _, out, _ = run(capsys, *argv)
+    randomized = json.loads(out)
+    assert symbolic[0]["mode"] == {"variant": "symbolic-generic"}
+    assert symbolic[0]["rows"] == randomized[0]["rows"]
+
+
+def test_betti_type_json_source(capsys):
+    code, out, _ = run(capsys, "betti", "--type", "3", "--complex",
+                       "tangent", "--weights", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)[0]["algebra"] == {"id": 3, "source": "classType"}
+
+
+def test_labels_without_catalogue_index_are_custom(tmp_path, capsys):
+    # a basis change appends "~" to the label, and an inline algebra is
+    # named after its file: neither label carries a catalogue index
+    g = family(2).specialize({"C143": 2, "C144": 3, "C234": 4, "C244": 5})
+    T = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 2], [0, 0, 0, 1]]
+    report = homology_report("extended", -2, g.change_basis(T))
+    assert report.to_json()["algebra"] == {"id": "family-2~",
+                                           "source": "custom"}
+    assert report.rows == homology_report("extended", -2, g).rows
+    for stem in ("family-x", "type-x"):
+        path = tmp_path / f"{stem}.json"
+        path.write_text(json.dumps(family(5).to_json()), encoding="utf-8")
+        code, out, _ = run(capsys, "betti", "--inline", str(path),
+                           "--complex", "tangent", "--weights", "0",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)[0]["algebra"]["source"] == "custom"
+
+
 # ---------------------------------------------------------------------------
 # elc / foliation
+
+
+def test_elc_type_plain_prints_the_coefficient(capsys):
+    code, out, _ = run(capsys, "elc", "--type", "1")
+    assert code == 0
+    assert parse_fraction(out.strip()) == transcribed_formula(1)
 
 
 def test_elc_symbolic_matching_type(capsys):
@@ -216,6 +263,14 @@ def test_foliation_json_family3(capsys):
     assert doc["solution"] == "span(C244*y1 - C144*y2)"
     assert doc["containment"] is True
     assert "note" in doc
+
+
+def test_foliation_table_note_family3(capsys):
+    code, out, _ = run(capsys, "foliation", "--family", "3")
+    assert code == 0
+    assert out.strip().split("\n")[-1] == (
+        "note: direction has no parameter-free closed form; the "
+        "coefficients depend on the family parameters")
 
 
 # ---------------------------------------------------------------------------

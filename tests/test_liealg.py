@@ -72,6 +72,35 @@ def test_bracket_bilinearity():
     assert (lhs - rhs).is_zero()
 
 
+def _oracle_bracket(g, u, v):
+    """sum over i != j of u_i v_j [y_i, y_j], each [y_i, y_j] read off
+    structure_constant."""
+    out = [ParamPolynomial.zero()] * 4
+    for i in range(1, 5):
+        for j in range(1, 5):
+            if i == j:
+                continue
+            for k in range(1, 5):
+                out[k - 1] = out[k - 1] + \
+                    u.coeff(i) * v.coeff(j) * g.structure_constant(i, j, k)
+    return Vector4(out)
+
+
+_small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+_vectors = st.tuples(*[_small_rationals] * 4).map(Vector4)
+
+
+@pytest.mark.parametrize("make,n", [
+    pytest.param(make, n, id=f"{make.__name__}-{n}")
+    for make, count in ((family, 6), (class_type, 12))
+    for n in range(1, count + 1)])
+@given(u=_vectors, v=_vectors)
+@settings(max_examples=20, deadline=None)
+def test_bracket_matches_pairwise_oracle(make, n, u, v):
+    g = make(n)
+    assert g.bracket(u, v) == _oracle_bracket(g, u, v)
+
+
 # -- Jacobi ----------------------------------------------------------------
 
 
@@ -197,13 +226,15 @@ def test_change_basis_preserves_jacobi(flat):
 
 
 def test_change_basis_identity_and_inverse():
-    g = family(5).specialize({"C142": 1, "C143": 2, "C234": 3})
     eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    assert g.change_basis(eye).c == g.c
     T = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 2], [0, 0, 0, 1]]
     Tinv = [[1, -1, 0, 0], [0, 1, 0, 0], [0, 0, 1, -2], [0, 0, 0, 1]]
-    back = g.change_basis(T).change_basis(Tinv)
-    assert back.c == g.c
+    # a numeric point, and family 2 with its Laurent constants in C144
+    for g in (family(5).specialize({"C142": 1, "C143": 2, "C234": 3}),
+              family(2)):
+        assert g.change_basis(eye).c == g.c
+        back = g.change_basis(T).change_basis(Tinv)
+        assert back.c == g.c
 
 
 def test_change_basis_rejects_singular():
