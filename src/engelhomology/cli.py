@@ -57,6 +57,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _parse_rational(text):
+    """A rational number as typed; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _parse_assignment(text):
     out = {}
     for piece in text.split(","):
@@ -66,7 +74,7 @@ def _parse_assignment(text):
         name, _, value = piece.partition("=")
         if not _ or not name.strip():
             raise ValueError(f"expected name=value, got {piece!r}")
-        out[name.strip()] = Fraction(value.strip())
+        out[name.strip()] = _parse_rational(value.strip())
     return out
 
 
@@ -83,7 +91,7 @@ def _parse_witness(text):
         raise ValueError(f"witness needs p=...;q=..., got {text!r}")
     vectors = []
     for key in ("p", "q"):
-        coords = [Fraction(x) for x in parts[key].split(",")]
+        coords = [_parse_rational(x) for x in parts[key].split(",")]
         if len(coords) != 4:
             raise ValueError(f"{key} needs 4 coordinates")
         vectors.append(tuple(coords))
@@ -101,7 +109,11 @@ def _load_inline(path):
         if len(coeffs) != 4:
             raise ValueError(f"bracket ({i},{j}) needs 4 coefficients")
         for k, text in enumerate(coeffs, start=1):
-            v = parse_fraction(str(text))
+            try:
+                v = parse_fraction(str(text))
+            except ZeroDivisionError:
+                raise ValueError(f"bracket ({i},{j}): zero denominator in "
+                                 f"{text!r}") from None
             if not v.is_zero():
                 constants[(i, j, k)] = v
     label = Path(path).stem

@@ -508,7 +508,7 @@ class PolyMatrix:
 
     def parameters(self):
         out = set()
-        for p in self.entries.values():
+        for p in _distinct(self.entries.values()):
             out.update(p.parameters())
         return tuple(sorted(out))
 
@@ -688,10 +688,19 @@ def _rank_randomized(M, mode, nonzero):
     return best
 
 
+def _distinct(polys):
+    """Each object among `polys` once.  Cells of a matrix may share one
+    entry object, which is then evaluated once; the matrix holds the
+    objects, so their ids stay unique while it is in use."""
+    return {id(poly): poly for poly in polys}.values()
+
+
 def _modular_matrix(M, point, p=_PRIME):
+    values = {id(poly): poly.evaluate_mod(point, p)
+              for poly in _distinct(M.entries.values())}
     arr = np.zeros((M.rows, M.cols), dtype=np.int64)
     for (r, c), poly in M.entries.items():
-        arr[r, c] = poly.evaluate_mod(point, p)
+        arr[r, c] = values[id(poly)]
     return arr
 
 
@@ -722,9 +731,11 @@ def _rank_mod_p(arr, p=_PRIME):
 
 
 def _evaluated_rows(M, assignment):
+    values = {id(poly): poly.evaluate(assignment)
+              for poly in _distinct(M.entries.values())}
     rows = [[Fraction(0)] * M.cols for _ in range(M.rows)]
     for (r, c), poly in M.entries.items():
-        rows[r][c] = poly.evaluate(assignment)
+        rows[r][c] = values[id(poly)]
     return rows
 
 

@@ -115,13 +115,15 @@ class LieAlgebra4:
 
     `nonzero` lists parameter names assumed nonzero; they guard
     denominators and steer randomized rank sampling away from the
-    degenerate locus.
+    degenerate locus.  `catalogue` is the FamilyId or ClassTypeId of a
+    catalogued algebra and of its specializations, None for any other.
     """
 
-    __slots__ = ("label", "c", "nonzero")
+    __slots__ = ("label", "c", "nonzero", "catalogue")
 
-    def __init__(self, label, constants, nonzero=()):
+    def __init__(self, label, constants, nonzero=(), catalogue=None):
         self.label = label
+        self.catalogue = catalogue
         self.c = {}
         for (i, j, k), v in constants.items():
             if not (1 <= i < j <= 4 and 1 <= k <= 4):
@@ -179,7 +181,8 @@ class LieAlgebra4:
         return all(v.is_zero() for v in self.jacobi_residuals().values())
 
     def specialize(self, assignment, label=None):
-        """Substitute parameter values (possibly partial)."""
+        """Substitute parameter values (possibly partial).  A new label
+        makes the result a custom algebra, outside the catalogue."""
         assignment = dict(assignment)
         for name in self.nonzero:
             if name in assignment and Fraction(assignment[name]) == 0:
@@ -191,7 +194,7 @@ class LieAlgebra4:
             remaining.update(v.parameters())
         nz = tuple(n for n in self.nonzero if n in remaining)
         if label is None:
-            label = self.label
+            return LieAlgebra4(self.label, new_c, nz, self.catalogue)
         return LieAlgebra4(label, new_c, nz)
 
     def change_basis(self, T):
@@ -314,7 +317,7 @@ def family(n):
             v = parse_fraction(text)
             if not v.is_zero():
                 c[(i, j, k)] = v
-    return LieAlgebra4(str(fid), c, nonzero)
+    return LieAlgebra4(str(fid), c, nonzero, fid)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +368,9 @@ def class_type(n, a=None, b=None):
             assignment[name] = Fraction(val)
     _check_type_constraints(n, assignment)
     c = {key: parse_fraction(text) for key, text in table.items()}
-    alg = LieAlgebra4(str(tid), c, nonzero)
+    alg = LieAlgebra4(str(tid), c, nonzero, tid)
     if assignment:
-        alg = alg.specialize(assignment, label=str(tid))
+        alg = alg.specialize(assignment)
     return alg
 
 

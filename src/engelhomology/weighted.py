@@ -14,6 +14,12 @@ x_i then x_j to the front.  For a word of grade-0 letters this reduces to
 the classical Chevalley-Eilenberg boundary sum_{i<j} (-1)^{i+j} [x_i,x_j] ^
 rest.  The boundary preserves the total weight (= sum of letter grades) and
 drops m by one; homology is H_m = ker d_m / im d_{m+1}.
+
+Every bracket is linear in the 24 structure constants c_ijk, so d_m does
+not depend on the algebra beyond them: each d_m is built once per
+process and (complex, weight, m) over an algebra whose constants are
+variables, stored as integer linear forms in the c_ijk, and contracted
+with each algebra's constants.
 """
 
 from fractions import Fraction
@@ -22,12 +28,14 @@ from math import comb
 import itertools
 
 from .exact import (
+    ParamPolynomial,
     PolyMatrix,
     Randomized,
     Specialized,
     common_denominator,
     matrix_rank,
 )
+from .liealg import LieAlgebra4
 from .superalg import (
     FORM,
     MULTIVECTOR,
@@ -237,33 +245,120 @@ def _sorted_word(letters):
     return sign, tuple(arr)
 
 
-class _BoundaryBuilder:
-    """Shared bracket cache for assembling all d_m of one (algebra, kind)."""
+def _letter_bracket(g, kind, li, lj):
+    """[li, lj] as a sorted list of (letter, coefficient)."""
+    u = GradedElement.monomial(li[0], li[1])
+    v = GradedElement.monomial(lj[0], lj[1])
+    res = kind.bracket(g, u, v)
+    # the bracket must land in the summed grade (weight preservation)
+    assert res.component.grade == li[0].grade + lj[0].grade
+    return [((res.component, idx), res.coeffs[idx])
+            for idx in sorted(res.coeffs)]
 
-    __slots__ = ("g", "kind", "cache")
+
+def _word_columns(g, kind, basis_m, basis_prev):
+    """d_m over the algebra g by the word loop, as {column: {row:
+    ParamPolynomial}}.  Boundary tensors are built with it over the
+    universal algebra; over any other algebra it is the reference that
+    their contraction must reproduce."""
+    brackets = {}
+    columns = {}
+    for col, word in enumerate(basis_m.words):
+        pars = [letter[0].word_parity for letter in word]
+        prefix = [0]
+        for p in pars:
+            prefix.append(prefix[-1] + p)
+        acc = {}
+        for i in range(len(word)):
+            for j in range(i + 1, len(word)):
+                eps = 1
+                if pars[i] and prefix[i] % 2:
+                    eps = -eps
+                if pars[j] and (prefix[j] - pars[i]) % 2:
+                    eps = -eps
+                if pars[i]:
+                    eps = -eps
+                rest = word[:i] + word[i + 1:j] + word[j + 1:]
+                pair = (word[i], word[j])
+                terms = brackets.get(pair)
+                if terms is None:
+                    terms = brackets[pair] = _letter_bracket(g, kind, *pair)
+                for letter, coeff in terms:
+                    sign, target = _sorted_word((letter,) + rest)
+                    if sign == 0:
+                        continue
+                    row = basis_prev.index[target]
+                    v = coeff * (eps * sign)
+                    cur = acc.get(row)
+                    acc[row] = v if cur is None else cur + v
+        entries = {r: v for r, v in acc.items() if not v.is_zero()}
+        if entries:
+            columns[col] = entries
+    return columns
+
+
+# (variant, weight, m) -> (forms, cells) of d_m; see _boundary_tensor
+_TENSORS = {}
+
+
+def _universal_algebra():
+    """The algebra whose 24 structure constants c_ijk are independent
+    variables, each named by its index triple."""
+    return LieAlgebra4("universal", {
+        (i, j, k): ParamPolynomial.variable((i, j, k))
+        for i in range(1, 5) for j in range(i + 1, 5) for k in range(1, 5)})
+
+
+def _boundary_tensor(kind, weight, m, basis_m, basis_prev):
+    """d_m as an algebra-independent integer tensor, built once per
+    process: `forms` lists the distinct entries over the universal
+    algebra, each an integer linear form ((i, j, k), a), ... in the
+    structure constants, and `cells` lists (row, col, form index) column
+    by column.  Every bracket is linear in the constants, so over any
+    algebra an entry is its form evaluated at that algebra's c_ijk."""
+    key = (kind.variant, weight, m)
+    got = _TENSORS.get(key)
+    if got is None:
+        forms = {}
+        cells = []
+        columns = _word_columns(_universal_algebra(), kind, basis_m,
+                                basis_prev)
+        for col, by_row in columns.items():
+            for row, v in by_row.items():
+                form = []
+                for ((ijk, one),), a in v.terms.items():
+                    assert one == 1 and a.denominator == 1
+                    form.append((ijk, a.numerator))
+                form = tuple(sorted(form))
+                cells.append((row, col, forms.setdefault(form, len(forms))))
+        got = _TENSORS[key] = (tuple(forms), tuple(cells))
+    return got
+
+
+def _contract(form, constants):
+    """The linear form sum a * c_ijk at the given constants."""
+    terms = {}
+    for ijk, a in form:
+        c = constants.get(ijk)
+        if c is not None:
+            for mono, x in c.terms.items():
+                terms[mono] = terms.get(mono, 0) + a * x
+    return ParamPolynomial(terms)
+
+
+class _BoundaryBuilder:
+    """All d_m of one (algebra, kind), contracted from the boundary
+    tensors with the algebra's structure constants."""
+
+    __slots__ = ("g", "kind")
 
     def __init__(self, g, kind):
         self.g = g
         self.kind = _as_kind(kind)
-        self.cache = {}
-
-    def pair_bracket(self, li, lj):
-        key = (li, lj)
-        got = self.cache.get(key)
-        if got is None:
-            u = GradedElement.monomial(li[0], li[1])
-            v = GradedElement.monomial(lj[0], lj[1])
-            res = self.kind.bracket(self.g, u, v)
-            # the bracket must land in the summed grade (weight preservation)
-            assert res.component.grade == li[0].grade + lj[0].grade
-            got = [((res.component, idx), res.coeffs[idx])
-                   for idx in sorted(res.coeffs)]
-            self.cache[key] = got
-        return got
 
     def fraction_columns(self, weight, m, basis_m=None, basis_prev=None):
         """Raw differential as {column: {row: ParamPolynomial}}, entries
-        with denominators.
+        with denominators; cells with the same form share one object.
 
         Unlike the cleared matrix, these columns compose: the chain-map
         identity d_{m} after d_{m+1} = 0 only holds before clearing.
@@ -272,34 +367,13 @@ class _BoundaryBuilder:
             basis_m = chain_basis(self.kind, weight, m)
         if basis_prev is None:
             basis_prev = chain_basis(self.kind, weight, m - 1)
+        forms, cells = _boundary_tensor(self.kind, weight, m, basis_m,
+                                        basis_prev)
+        values = [_contract(form, self.g.c) for form in forms]
         columns = {}
-        for col, word in enumerate(basis_m.words):
-            pars = [letter[0].word_parity for letter in word]
-            prefix = [0]
-            for p in pars:
-                prefix.append(prefix[-1] + p)
-            acc = {}
-            for i in range(len(word)):
-                for j in range(i + 1, len(word)):
-                    eps = 1
-                    if pars[i] and prefix[i] % 2:
-                        eps = -eps
-                    if pars[j] and (prefix[j] - pars[i]) % 2:
-                        eps = -eps
-                    if pars[i]:
-                        eps = -eps
-                    rest = word[:i] + word[i + 1:j] + word[j + 1:]
-                    for letter, coeff in self.pair_bracket(word[i], word[j]):
-                        sign, target = _sorted_word((letter,) + rest)
-                        if sign == 0:
-                            continue
-                        row = basis_prev.index[target]
-                        v = coeff * (eps * sign)
-                        cur = acc.get(row)
-                        acc[row] = v if cur is None else cur + v
-            entries = {r: v for r, v in acc.items() if not v.is_zero()}
-            if entries:
-                columns[col] = entries
+        for row, col, f in cells:
+            if values[f]:
+                columns.setdefault(col, {})[row] = values[f]
         return columns
 
     def matrix(self, weight, m, basis_m=None, basis_prev=None):
@@ -313,17 +387,24 @@ class _BoundaryBuilder:
 
 def _cleared_matrix(rows, cols, columns):
     """Clear denominators column by column: each column is multiplied by
-    the common denominator of its entries.
+    the common denominator of its entries.  Cells that share an entry
+    object and a denominator share their product.
 
     Multiplying a column by a nonzero monomial (a product of declared
     nonzero parameters) changes neither rank nor kernel dimension on the
     locus where those parameters do not vanish.
     """
     entries = {}
+    products = {}
     for col, by_row in columns.items():
         den = common_denominator(by_row.values())
+        (mono,) = den.terms
         for row, v in by_row.items():
-            entries[(row, col)] = v * den
+            key = (id(v), mono)
+            p = products.get(key)
+            if p is None:
+                p = products[key] = v * den if mono else v
+            entries[(row, col)] = p
     return PolyMatrix(rows, cols, entries)
 
 
@@ -345,7 +426,13 @@ class BettiReport:
     def __init__(self, kind, algebra, weight, mode, rows, specialization=None):
         self.kind = _as_kind(kind)
         self.algebra_label = algebra.label
-        self.source, self.ident = _split_label(algebra.label)
+        catalogue = algebra.catalogue
+        if catalogue is None:
+            self.source, self.ident = "custom", algebra.label
+        else:
+            self.source = {"family": "family",
+                           "type": "classType"}[catalogue.source]
+            self.ident = catalogue.n
         self.params = list(algebra.params)
         self.weight = weight
         self.mode = mode
@@ -400,16 +487,6 @@ class BettiReport:
             cells = " ".join(s.rjust(width) for s in col)
             lines.append(f"{label:>4} : {cells}")
         return "\n".join(lines) + "\n"
-
-
-def _split_label(label):
-    """(source, id) of a catalogue label such as family-2 or type-9; any
-    other label, family-2~ or family-x among them, is custom."""
-    prefix, _, ident = label.partition("-")
-    source = {"family": "family", "type": "classType"}.get(prefix)
-    if source and ident.isdecimal():
-        return source, int(ident)
-    return "custom", label
 
 
 def _scan_cap(weight):

@@ -207,6 +207,21 @@ def test_labels_without_catalogue_index_are_custom(tmp_path, capsys):
         assert json.loads(out)[0]["algebra"]["source"] == "custom"
 
 
+def test_inline_file_name_is_not_a_catalogue_source(tmp_path, capsys):
+    # the catalogue source comes from --family/--type, never from a file
+    # name: family 5's constants in family-2.json stay a custom algebra
+    path = tmp_path / "family-2.json"
+    path.write_text(json.dumps(family(5).to_json()), encoding="utf-8")
+    argv = ("--complex", "tangent", "--weights", "0", "--format", "json")
+    code, out, _ = run(capsys, "betti", "--inline", str(path), *argv)
+    assert code == 0
+    assert json.loads(out)[0]["algebra"] == {
+        "source": "custom", "id": "family-2",
+        "params": list(family(5).params)}
+    code, out, _ = run(capsys, "betti", "--family", "2", *argv)
+    assert json.loads(out)[0]["algebra"]["source"] == "family"
+
+
 # ---------------------------------------------------------------------------
 # elc / foliation
 
@@ -295,6 +310,25 @@ def test_constraint_violation_exits_2(capsys):
                        "--param", "a=0,b=1", "--symbolic")
     assert code == 2
     assert "constraint violation" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("betti", "--family", "2", "--complex", "tangent", "--weights", "0",
+     "--mode", "specialized", "--specialize", "C144=1/0"),
+    ("betti", "--type", "9", "--param", "a=1/0", "--complex", "tangent",
+     "--weights", "0"),
+    ("elc", "--type", "1", "--witness", "p=1,0,0,0;q=0,1,0,1/0"),
+    ("betti", "--inline", "{inline}", "--complex", "tangent",
+     "--weights", "0"),
+])
+def test_zero_denominator_in_input_exits_1(argv, tmp_path, capsys):
+    inline = tmp_path / "zero.json"
+    inline.write_text(json.dumps({"basis_dim": 4, "brackets": [
+        {"i": 1, "j": 2, "coeffs": ["0", "0", "1/0", "0"]}]}),
+        encoding="utf-8")
+    code, _, err = run(capsys, *(a.format(inline=inline) for a in argv))
+    assert code == 1
+    assert "zero denominator" in err
 
 
 def test_missing_parameter_exits_3(capsys):

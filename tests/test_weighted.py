@@ -10,13 +10,20 @@ published kernel rows for that complex differ, and the acceptance suite
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from engelhomology import weighted
 from engelhomology.exact import (
     ParamPolynomial,
+    PolyMatrix,
     Randomized,
     Specialized,
     SymbolicGeneric,
+    _evaluated_rows,
+    _modular_matrix,
     matrix_rank,
 )
 from engelhomology.liealg import LieAlgebra4, family
@@ -28,6 +35,9 @@ from engelhomology.weighted import (
     ComplexKind,
     WeightedChainBasis,
     _BoundaryBuilder,
+    _cleared_matrix,
+    _scan_cap,
+    _word_columns,
     boundary_matrix,
     chain_basis,
     enumerate_signatures,
@@ -209,6 +219,117 @@ def test_boundary_matrix_denominators_cleared():
     M = boundary_matrix(TANGENT, 0, 2, FAMILIES[2])
     assert M.rows == 4 and M.cols == 6
     assert any(not p.is_zero() for p in M.entries.values())
+
+
+# ---------------------------------------------------------------------------
+# boundary tensors: the contraction equals the word loop on the algebra
+
+# the (complex, weight) pairs of the published tables
+PUBLISHED = [(TANGENT, w) for w in (0, 1, 2)] + \
+    [(COTANGENT, w) for w in (-5, -6, -7)] + [(EXTENDED, w) for w in (-2, -3)]
+
+
+def _boundaries(kind, weight):
+    """(m, basis_m, basis_prev) of every nonzero-shaped d_m a report
+    ranks."""
+    bases = {m: chain_basis(kind, weight, m)
+             for m in range(-1, _scan_cap(weight) + 1)}
+    return [(m, bases[m], bases[m - 1]) for m in range(_scan_cap(weight) + 1)
+            if bases[m].dimension and bases[m - 1].dimension]
+
+
+def _assert_contraction_is_word_loop(g, kind, weight):
+    builder = _BoundaryBuilder(g, kind)
+    for m, basis_m, basis_prev in _boundaries(kind, weight):
+        direct = _word_columns(g, ComplexKind(kind), basis_m, basis_prev)
+        assert builder.fraction_columns(weight, m, basis_m, basis_prev) \
+            == direct, (kind, weight, m)
+        assert builder.matrix(weight, m, basis_m, basis_prev) == \
+            _cleared_matrix(basis_prev.dimension, basis_m.dimension,
+                            direct), (kind, weight, m)
+
+
+def _laurent_term(term):
+    c, a, b = term
+    return ParamPolynomial.variable("s") ** a * \
+        ParamPolynomial.variable("t") ** b * c
+
+
+_CONSTANT_KEYS = [(i, j, k) for i in range(1, 5) for j in range(i + 1, 5)
+                  for k in range(1, 5)]
+_LAURENT = st.lists(
+    st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=3)
+              .filter(bool), st.integers(0, 2), st.integers(-2, 1)),
+    min_size=1, max_size=2).map(lambda ts: sum(map(_laurent_term, ts),
+                                               ParamPolynomial.zero()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(constants=st.dictionaries(st.sampled_from(_CONSTANT_KEYS), _LAURENT,
+                                 max_size=8),
+       case=st.sampled_from([(TANGENT, 0), (TANGENT, 1), (COTANGENT, -5),
+                             (EXTENDED, -2)]))
+def test_contraction_equals_word_loop_on_random_algebras(constants, case):
+    # any constants, Lie or not, with t in denominators
+    g = LieAlgebra4("random", constants, ("t",))
+    _assert_contraction_is_word_loop(g, *case)
+
+
+def test_contraction_equals_word_loop_on_published_tables():
+    count = 0
+    for kind, weight in PUBLISHED:
+        for fam in FAMILIES.values():
+            _assert_contraction_is_word_loop(fam, kind, weight)
+            count += len(_boundaries(kind, weight))
+    assert count == 222
+
+
+def test_shared_entries_evaluate_like_distinct_ones():
+    p = ParamPolynomial.variable("s") ** 2 / ParamPolynomial.variable("t") + 3
+    q = ParamPolynomial.variable("t") - 1
+    copy = ParamPolynomial(dict(p.terms))
+    shared = PolyMatrix(2, 3, {(0, 0): p, (1, 1): p, (0, 2): q, (1, 2): p})
+    distinct = PolyMatrix(2, 3, {(0, 0): p, (1, 1): copy, (0, 2): q,
+                                 (1, 2): ParamPolynomial(dict(p.terms))})
+    point = {"s": 7, "t": -3}
+    assert np.array_equal(_modular_matrix(shared, point),
+                          _modular_matrix(distinct, point))
+    assert _evaluated_rows(shared, point) == _evaluated_rows(distinct, point)
+    assert shared.parameters() == distinct.parameters() == ("s", "t")
+
+
+def _leaves(x):
+    if isinstance(x, tuple):
+        for y in x:
+            yield from _leaves(y)
+    else:
+        yield x
+
+
+def test_tensor_cache_is_independent_of_the_algebra():
+    g = FAMILIES[2].specialize({"C143": 2, "C144": 3, "C234": 4, "C244": 5})
+    rebased = g.change_basis([[1, 1, 0, 0], [0, 1, 0, 0],
+                              [0, 0, 1, 2], [0, 0, 0, 1]])
+    algebras = [FAMILIES[1], FAMILIES[2], rebased]
+    cases = [(TANGENT, 2), (EXTENDED, -3)]
+    runs = []
+    for order in (algebras, algebras[::-1]):
+        weighted._TENSORS.clear()
+        got = {}
+        for g in order:
+            for kind, weight in cases:
+                got[(g.label, kind)] = (
+                    homology_report(kind, weight, g).rows,
+                    [boundary_matrix(kind, weight, m, g)
+                     for m, _, _ in _boundaries(kind, weight)])
+        runs.append(got)
+    assert runs[0] == runs[1]
+    # keyed by (variant, weight, m) alone, holding integers alone
+    assert {key[:2] for key in weighted._TENSORS} == \
+        {("tangent", 2), ("extended", -3)}
+    for (variant, weight, m), tensor in weighted._TENSORS.items():
+        assert type(weight) is int and type(m) is int
+        assert all(type(x) is int for x in _leaves(tensor))
 
 
 # ---------------------------------------------------------------------------
