@@ -80,9 +80,12 @@ def _parse_assignment(text):
 
 def _parse_weights(text):
     try:
-        return [int(w) for w in text.split(",") if w.strip()]
+        weights = [int(w) for w in text.split(",") if w.strip()]
     except ValueError:
         raise ValueError(f"weights must be integers: {text!r}")
+    if not weights:
+        raise ValueError(f"no weights given: {text!r}")
+    return weights
 
 
 def _parse_witness(text):
@@ -133,6 +136,15 @@ def _add_selector(sub, with_type=True):
                      help="scalar parameters, e.g. a=2,b=3")
 
 
+def _check_names(option, assignment, algebra):
+    """A usage error for a name that is not a parameter of the algebra."""
+    unknown = sorted(set(assignment) - set(algebra.params))
+    if unknown:
+        known = ", ".join(algebra.params) or "none"
+        raise ValueError(f"{option}: unknown parameter {unknown[0]} of "
+                         f"{algebra.label} (its parameters: {known})")
+
+
 def _pick_algebra(args):
     params = _parse_assignment(args.param) if args.param else {}
     if args.family is not None:
@@ -140,6 +152,7 @@ def _pick_algebra(args):
             raise ValueError("--param applies to --type selectors")
         return family(args.family)
     if getattr(args, "class_type", None) is not None:
+        _check_names("--param", params, class_type(args.class_type))
         return class_type(args.class_type, **params)
     return _load_inline(args.inline)
 
@@ -207,6 +220,8 @@ def cmd_betti(args):
     weights = _parse_weights(args.weights)
     assignment = (_parse_assignment(args.specialize)
                   if args.specialize else None)
+    if assignment:
+        _check_names("--specialize", assignment, algebra)
     mode = _betti_mode(args, assignment)
     reports = [homology_report(args.complex, w, algebra, mode,
                                specialization=assignment)

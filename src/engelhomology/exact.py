@@ -277,7 +277,9 @@ class ParamPolynomial:
         total = 0
         try:
             for m, c in self.terms.items():
-                t = (c.numerator % p) * pow(c.denominator, p - 2, p) % p
+                t = c.numerator % p
+                if c.denominator != 1:
+                    t = t * pow(c.denominator, p - 2, p) % p
                 for v, k in m:
                     t = t * pow(assignment[v] % p, k, p) % p
                 total = (total + t) % p
@@ -579,7 +581,9 @@ def matrix_rank(M, mode, nonzero=()):
 
     `nonzero` lists polynomials assumed nonzero (nondegeneracy conditions);
     Randomized sampling rejects points on their zero locus and Specialized
-    refuses points violating them.
+    refuses points violating them.  Entries may have denominators:
+    Randomized sampling also rejects a point where one vanishes, and
+    Specialized raises DegenerateDenominator at such a point.
     """
     nonzero = [p if isinstance(p, ParamPolynomial)
                else ParamPolynomial.variable(p) for p in nonzero]
@@ -670,6 +674,9 @@ def _rank_randomized(M, mode, nonzero):
         # every trial would eliminate the same matrix; take the exact rank
         return _rank_specialized(M, Specialized({}), ())
     params = sorted(set(params).union(*(p.parameters() for p in nonzero)))
+    # a point must not zero a nondegeneracy polynomial, nor a denominator
+    # of an entry: a nonzero monomial stays nonzero mod p in _COEFF_RANGE
+    guards = nonzero + [common_denominator(_distinct(M.entries.values()))]
     rng = random.Random(mode.seed)
     lo, hi = _COEFF_RANGE
     best = 0
@@ -677,7 +684,7 @@ def _rank_randomized(M, mode, nonzero):
     for _ in range(mode.trials):
         while True:
             point = {v: rng.randint(lo, hi) for v in params}
-            if all(p.evaluate(point) != 0 for p in nonzero):
+            if all(p.evaluate(point) != 0 for p in guards):
                 break
         arr = _modular_matrix(M, point)
         r = _rank_mod_p(arr)
@@ -699,8 +706,9 @@ def _modular_matrix(M, point, p=_PRIME):
     values = {id(poly): poly.evaluate_mod(point, p)
               for poly in _distinct(M.entries.values())}
     arr = np.zeros((M.rows, M.cols), dtype=np.int64)
-    for (r, c), poly in M.entries.items():
-        arr[r, c] = values[id(poly)]
+    if M.entries:
+        arr[tuple(np.array(list(M.entries)).T)] = \
+            [values[id(poly)] for poly in M.entries.values()]
     return arr
 
 
@@ -719,10 +727,12 @@ def _rank_mod_p(arr, p=_PRIME):
             A[[rank, pr]] = A[[pr, rank]]
         inv = pow(int(A[rank, col]), p - 2, p)
         A[rank, col:] = (A[rank, col:] * inv) % p
-        below = A[rank + 1:, col:]
-        factors = A[rank + 1:, col][:, None]
-        if below.size:
-            A[rank + 1:, col:] = (below - factors * A[rank, col:]) % p
+        # only rows with a nonzero in this column change: piv_rows past
+        # the pivot (the row swapped into pr has a zero there)
+        rows = rank + piv_rows[1:]
+        if rows.size:
+            A[rows, col:] = (A[rows, col:]
+                             - A[rows, col][:, None] * A[rank, col:]) % p
         rank += 1
     return rank
 

@@ -17,11 +17,14 @@ drops m by one; homology is H_m = ker d_m / im d_{m+1}.
 
 Every bracket is linear in the 24 structure constants c_ijk, so d_m does
 not depend on the algebra beyond them: each d_m is built once per
-process and (complex, weight, m) over an algebra whose constants are
-variables, stored as integer linear forms in the c_ijk, and contracted
-with each algebra's constants.
+process and (complex, weight, m) in integer arithmetic, from the
+brackets of letter pairs over an algebra whose constants are variables,
+stored as integer linear forms in the c_ijk, and contracted with each
+algebra's constants.  The numeric rank modes take the contracted matrix
+as it is; only the symbolic mode clears its denominators.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import comb
 
@@ -32,6 +35,7 @@ from .exact import (
     PolyMatrix,
     Randomized,
     Specialized,
+    SymbolicGeneric,
     common_denominator,
     matrix_rank,
 )
@@ -227,24 +231,6 @@ def chain_basis(kind, weight, m):
 # boundary matrices
 
 
-def _sorted_word(letters):
-    """Koszul sign and canonical form, or (0, None) when an anticommuting
-    letter repeats."""
-    arr = list(letters)
-    sign = 1
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and _letter_key(arr[j - 1]) > _letter_key(arr[j]):
-            if arr[j - 1][0].word_parity and arr[j][0].word_parity:
-                sign = -sign
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
-            j -= 1
-    for a, b in zip(arr, arr[1:]):
-        if a == b and a[0].word_parity == 1:
-            return 0, None
-    return sign, tuple(arr)
-
-
 def _letter_bracket(g, kind, li, lj):
     """[li, lj] as a sorted list of (letter, coefficient)."""
     u = GradedElement.monomial(li[0], li[1])
@@ -256,14 +242,58 @@ def _letter_bracket(g, kind, li, lj):
             for idx in sorted(res.coeffs)]
 
 
-def _word_columns(g, kind, basis_m, basis_prev):
-    """d_m over the algebra g by the word loop, as {column: {row:
-    ParamPolynomial}}.  Boundary tensors are built with it over the
-    universal algebra; over any other algebra it is the reference that
-    their contraction must reproduce."""
-    brackets = {}
-    columns = {}
+# variant -> {(letter, letter): ((letter, form), ...)}; see _letter_forms
+_LETTER_TABLES = {}
+# (variant, weight, m) -> (forms, cells) of d_m; see _boundary_tensor
+_TENSORS = {}
+
+
+def _universal_algebra():
+    """The algebra whose 24 structure constants c_ijk are independent
+    variables, each named by its index triple."""
+    return LieAlgebra4("universal", {
+        (i, j, k): ParamPolynomial.variable((i, j, k))
+        for i in range(1, 5) for j in range(i + 1, 5) for k in range(1, 5)})
+
+
+def _letter_forms(universal, kind, pair):
+    """[li, lj] over the universal algebra as ((letter, form), ...), each
+    form an integer linear form ((i, j, k), a), ... in the structure
+    constants."""
+    terms = []
+    for letter, v in _letter_bracket(universal, kind, *pair):
+        form = []
+        for ((ijk, one),), a in v.terms.items():
+            assert one == 1 and a.denominator == 1
+            form.append((ijk, a.numerator))
+        terms.append((letter, tuple(sorted(form))))
+    return tuple(terms)
+
+
+def _boundary_tensor(kind, weight, m, basis_m, basis_prev):
+    """d_m as an algebra-independent integer tensor, built once per
+    process: `forms` lists the distinct entries, each an integer linear
+    form ((i, j, k), a), ... in the structure constants, and `cells`
+    lists (row, col, form index) column by column.  Every bracket is
+    linear in the constants, so over any algebra an entry is its form
+    evaluated at that algebra's c_ijk.
+
+    Each letter pair is bracketed once per complex variant (the letter
+    table).  A word is sorted, so what is left of it without the pair
+    is too: the bracket letter goes in by bisection, with the Koszul
+    sign of the anticommuting letters it passes, and the term vanishes
+    when it is an anticommuting letter already there.
+    """
+    key = (kind.variant, weight, m)
+    got = _TENSORS.get(key)
+    if got is not None:
+        return got
+    table = _LETTER_TABLES.setdefault(kind.variant, {})
+    universal = _universal_algebra()
+    forms = {}
+    cells = []
     for col, word in enumerate(basis_m.words):
+        keys = [_letter_key(letter) for letter in word]
         pars = [letter[0].word_parity for letter in word]
         prefix = [0]
         for p in pars:
@@ -279,59 +309,30 @@ def _word_columns(g, kind, basis_m, basis_prev):
                 if pars[i]:
                     eps = -eps
                 rest = word[:i] + word[i + 1:j] + word[j + 1:]
+                rest_keys = keys[:i] + keys[i + 1:j] + keys[j + 1:]
+                rest_pars = pars[:i] + pars[i + 1:j] + pars[j + 1:]
                 pair = (word[i], word[j])
-                terms = brackets.get(pair)
+                terms = table.get(pair)
                 if terms is None:
-                    terms = brackets[pair] = _letter_bracket(g, kind, *pair)
-                for letter, coeff in terms:
-                    sign, target = _sorted_word((letter,) + rest)
-                    if sign == 0:
-                        continue
-                    row = basis_prev.index[target]
-                    v = coeff * (eps * sign)
-                    cur = acc.get(row)
-                    acc[row] = v if cur is None else cur + v
-        entries = {r: v for r, v in acc.items() if not v.is_zero()}
-        if entries:
-            columns[col] = entries
-    return columns
-
-
-# (variant, weight, m) -> (forms, cells) of d_m; see _boundary_tensor
-_TENSORS = {}
-
-
-def _universal_algebra():
-    """The algebra whose 24 structure constants c_ijk are independent
-    variables, each named by its index triple."""
-    return LieAlgebra4("universal", {
-        (i, j, k): ParamPolynomial.variable((i, j, k))
-        for i in range(1, 5) for j in range(i + 1, 5) for k in range(1, 5)})
-
-
-def _boundary_tensor(kind, weight, m, basis_m, basis_prev):
-    """d_m as an algebra-independent integer tensor, built once per
-    process: `forms` lists the distinct entries over the universal
-    algebra, each an integer linear form ((i, j, k), a), ... in the
-    structure constants, and `cells` lists (row, col, form index) column
-    by column.  Every bracket is linear in the constants, so over any
-    algebra an entry is its form evaluated at that algebra's c_ijk."""
-    key = (kind.variant, weight, m)
-    got = _TENSORS.get(key)
-    if got is None:
-        forms = {}
-        cells = []
-        columns = _word_columns(_universal_algebra(), kind, basis_m,
-                                basis_prev)
-        for col, by_row in columns.items():
-            for row, v in by_row.items():
-                form = []
-                for ((ijk, one),), a in v.terms.items():
-                    assert one == 1 and a.denominator == 1
-                    form.append((ijk, a.numerator))
-                form = tuple(sorted(form))
+                    terms = table[pair] = _letter_forms(universal, kind, pair)
+                for letter, form in terms:
+                    lk = _letter_key(letter)
+                    pos = bisect_left(rest_keys, lk)
+                    sign = eps
+                    if letter[0].word_parity:
+                        if pos < len(rest_keys) and rest_keys[pos] == lk:
+                            continue
+                        if sum(rest_pars[:pos]) % 2:
+                            sign = -sign
+                    row = basis_prev.index[rest[:pos] + (letter,) + rest[pos:]]
+                    by_ijk = acc.setdefault(row, {})
+                    for ijk, a in form:
+                        by_ijk[ijk] = by_ijk.get(ijk, 0) + sign * a
+        for row, by_ijk in acc.items():
+            form = tuple(sorted((ijk, a) for ijk, a in by_ijk.items() if a))
+            if form:
                 cells.append((row, col, forms.setdefault(form, len(forms))))
-        got = _TENSORS[key] = (tuple(forms), tuple(cells))
+    got = _TENSORS[key] = (tuple(forms), tuple(cells))
     return got
 
 
@@ -356,13 +357,10 @@ class _BoundaryBuilder:
         self.g = g
         self.kind = _as_kind(kind)
 
-    def fraction_columns(self, weight, m, basis_m=None, basis_prev=None):
-        """Raw differential as {column: {row: ParamPolynomial}}, entries
-        with denominators; cells with the same form share one object.
-
-        Unlike the cleared matrix, these columns compose: the chain-map
-        identity d_{m} after d_{m+1} = 0 only holds before clearing.
-        """
+    def _cells(self, weight, m, basis_m=None, basis_prev=None):
+        """The shape of d_m and (row, col, entry) of its nonzero cells,
+        column by column; cells with the same form share one entry
+        object."""
         if basis_m is None:
             basis_m = chain_basis(self.kind, weight, m)
         if basis_prev is None:
@@ -370,19 +368,42 @@ class _BoundaryBuilder:
         forms, cells = _boundary_tensor(self.kind, weight, m, basis_m,
                                         basis_prev)
         values = [_contract(form, self.g.c) for form in forms]
-        columns = {}
-        for row, col, f in cells:
-            if values[f]:
-                columns.setdefault(col, {})[row] = values[f]
-        return columns
+        return basis_prev.dimension, basis_m.dimension, \
+            [(row, col, values[f]) for row, col, f in cells if values[f]]
+
+    def fraction_columns(self, weight, m, basis_m=None, basis_prev=None):
+        """Raw differential as {column: {row: ParamPolynomial}}, entries
+        with denominators; cells with the same form share one object.
+
+        Unlike the cleared matrix, these columns compose: the chain-map
+        identity d_{m} after d_{m+1} = 0 only holds before clearing.
+        """
+        return _columns(self._cells(weight, m, basis_m, basis_prev)[2])
+
+    def raw_matrix(self, weight, m, basis_m=None, basis_prev=None):
+        """d_m as a PolyMatrix whose entries keep their denominators.
+
+        At a point where no denominator vanishes, the cleared matrix is
+        this one with each column scaled by a nonzero number, so both
+        have the same rank there: the numeric rank modes take this one.
+        """
+        rows, cols, cells = self._cells(weight, m, basis_m, basis_prev)
+        M = PolyMatrix(rows, cols)
+        # the cells are in range and nonzero by construction
+        M.entries = {(row, col): v for row, col, v in cells}
+        return M
 
     def matrix(self, weight, m, basis_m=None, basis_prev=None):
-        if basis_m is None:
-            basis_m = chain_basis(self.kind, weight, m)
-        if basis_prev is None:
-            basis_prev = chain_basis(self.kind, weight, m - 1)
-        columns = self.fraction_columns(weight, m, basis_m, basis_prev)
-        return _cleared_matrix(basis_prev.dimension, basis_m.dimension, columns)
+        """d_m with its denominators cleared column by column."""
+        rows, cols, cells = self._cells(weight, m, basis_m, basis_prev)
+        return _cleared_matrix(rows, cols, _columns(cells))
+
+
+def _columns(cells):
+    columns = {}
+    for row, col, v in cells:
+        columns.setdefault(col, {})[row] = v
+    return columns
 
 
 def _cleared_matrix(rows, cols, columns):
@@ -511,7 +532,10 @@ def homology_report(kind, weight, algebra, mode=None, specialization=None):
         if bases[m - 1].dimension == 0:
             ranks[m] = 0
             continue
-        M = builder.matrix(weight, m, basis, bases[m - 1])
+        if isinstance(mode, SymbolicGeneric):
+            M = builder.matrix(weight, m, basis, bases[m - 1])
+        else:
+            M = builder.raw_matrix(weight, m, basis, bases[m - 1])
         r, _ = matrix_rank(M, mode, nonzero=algebra.nonzero)
         ranks[m] = r
     rows = []
@@ -527,7 +551,8 @@ def homology_report(kind, weight, algebra, mode=None, specialization=None):
 
 
 def strata_report(kind, weight, m, algebra, assignment):
-    """(rank, kernel_dim) of one boundary matrix at a full specialization."""
-    M = boundary_matrix(kind, weight, m, algebra)
+    """(rank, kernel_dim) of one boundary matrix at a full specialization;
+    raises DegenerateDenominator where a denominator vanishes."""
+    M = _BoundaryBuilder(algebra, kind).raw_matrix(weight, m)
     mode = Specialized(assignment)
     return matrix_rank(M, mode, nonzero=algebra.nonzero)

@@ -305,6 +305,29 @@ def test_bad_weights_exit_1(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("weights", [",", ""])
+def test_empty_weight_list_exits_1(weights, capsys):
+    code, out, err = run(capsys, "betti", "--family", "1",
+                         "--complex", "tangent", "--weights", weights)
+    assert (code, out) == (1, "")
+    assert "no weights given" in err
+
+
+@pytest.mark.parametrize("argv,unknown,known", [
+    (("betti", "--family", "2", "--complex", "tangent", "--weights", "0",
+      "--specialize", "C414=0", "--format", "json"),
+     "C414", "C143, C144, C234, C244"),
+    (("betti", "--type", "2", "--param", "z=1", "--complex", "tangent",
+      "--weights", "0"), "z", "a"),
+    (("elc", "--type", "2", "--param", "z=1", "--symbolic"), "z", "a"),
+])
+def test_unknown_parameter_name_exits_1(argv, unknown, known, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"unknown parameter {unknown} " in err
+    assert f"(its parameters: {known})" in err
+
+
 def test_constraint_violation_exits_2(capsys):
     code, _, err = run(capsys, "elc", "--type", "5",
                        "--param", "a=0,b=1", "--symbolic")

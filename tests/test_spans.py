@@ -9,9 +9,11 @@ from engelhomology.exact import (
     PolyMatrix,
     Randomized,
     Specialized,
+    SymbolicGeneric,
     matrix_rank,
 )
-from engelhomology.liealg import class_type
+from engelhomology.liealg import class_type, family
+from engelhomology.weighted import homology_report
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import spans  # noqa: E402
@@ -39,3 +41,27 @@ def test_tracer_installs_records_and_uninstalls():
     assert calls["engel.witness"] == 1
     assert calls["engel.flag"] == 2
     assert tracer.counts["exact.rank_int.cells"] == 8
+
+
+def test_tracer_sees_every_rank_layer_of_the_reports():
+    # the traced per-layer figures read M.rows, M.cols and M.entries of
+    # the matrix each rank layer receives
+    g = family(1)
+    point = {p: 2 for p in g.params}
+    reports = {"randomized": Randomized(), "specialized": Specialized(point),
+               "symbolic": SymbolicGeneric()}
+    with spans.Tracer() as tracer:
+        for ident, mode in reports.items():
+            tracer.run_item(ident, lambda mode=mode: homology_report(
+                "tangent", 0, g, mode))
+    names = {ident: {s[0] for s in tracer.spans if s[4] == ident}
+             for ident in reports}
+    assert "exact.rank_modp" in names["randomized"]
+    assert "exact.rank_int" in names["specialized"]
+    assert "exact.rank_bareiss" in names["symbolic"]
+    # numeric modes rank the raw matrix: only Bareiss clears denominators
+    assert "weighted.clear" in names["symbolic"]
+    assert "weighted.clear" not in names["randomized"] | names["specialized"]
+    for layer in ("exact.rank_modp", "exact.rank_int", "exact.rank_bareiss"):
+        assert tracer.counts[f"{layer}.cells"] > 0
+    assert tracer.counts["exact.rank_modp.nnz"] > 0

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engelhomology import weighted
+from engelhomology import exact, weighted
 from engelhomology.exact import (
+    DegenerateDenominator,
     ParamPolynomial,
     PolyMatrix,
     Randomized,
@@ -24,9 +25,10 @@ from engelhomology.exact import (
     SymbolicGeneric,
     _evaluated_rows,
     _modular_matrix,
+    common_denominator,
     matrix_rank,
 )
-from engelhomology.liealg import LieAlgebra4, family
+from engelhomology.liealg import LieAlgebra4, class_type, family
 from engelhomology.superalg import FORM, MULTIVECTOR, GradedComponent
 from engelhomology.weighted import (
     COTANGENT,
@@ -36,8 +38,9 @@ from engelhomology.weighted import (
     WeightedChainBasis,
     _BoundaryBuilder,
     _cleared_matrix,
+    _letter_bracket,
+    _letter_key,
     _scan_cap,
-    _word_columns,
     boundary_matrix,
     chain_basis,
     enumerate_signatures,
@@ -224,6 +227,64 @@ def test_boundary_matrix_denominators_cleared():
 # ---------------------------------------------------------------------------
 # boundary tensors: the contraction equals the word loop on the algebra
 
+
+def _sorted_word(letters):
+    """Koszul sign and canonical form, or (0, None) when an anticommuting
+    letter repeats."""
+    arr = list(letters)
+    sign = 1
+    for i in range(1, len(arr)):
+        j = i
+        while j > 0 and _letter_key(arr[j - 1]) > _letter_key(arr[j]):
+            if arr[j - 1][0].word_parity and arr[j][0].word_parity:
+                sign = -sign
+            arr[j - 1], arr[j] = arr[j], arr[j - 1]
+            j -= 1
+    for a, b in zip(arr, arr[1:]):
+        if a == b and a[0].word_parity == 1:
+            return 0, None
+    return sign, tuple(arr)
+
+
+def _word_columns(g, kind, basis_m, basis_prev):
+    """Reference oracle: d_m over the algebra g by the word loop, as
+    {column: {row: ParamPolynomial}}, bracketing each letter pair in g
+    and insertion-sorting every target word."""
+    brackets = {}
+    columns = {}
+    for col, word in enumerate(basis_m.words):
+        pars = [letter[0].word_parity for letter in word]
+        prefix = [0]
+        for p in pars:
+            prefix.append(prefix[-1] + p)
+        acc = {}
+        for i in range(len(word)):
+            for j in range(i + 1, len(word)):
+                eps = 1
+                if pars[i] and prefix[i] % 2:
+                    eps = -eps
+                if pars[j] and (prefix[j] - pars[i]) % 2:
+                    eps = -eps
+                if pars[i]:
+                    eps = -eps
+                rest = word[:i] + word[i + 1:j] + word[j + 1:]
+                pair = (word[i], word[j])
+                terms = brackets.get(pair)
+                if terms is None:
+                    terms = brackets[pair] = _letter_bracket(g, kind, *pair)
+                for letter, coeff in terms:
+                    sign, target = _sorted_word((letter,) + rest)
+                    if sign == 0:
+                        continue
+                    row = basis_prev.index[target]
+                    v = coeff * (eps * sign)
+                    cur = acc.get(row)
+                    acc[row] = v if cur is None else cur + v
+        entries = {r: v for r, v in acc.items() if not v.is_zero()}
+        if entries:
+            columns[col] = entries
+    return columns
+
 # the (complex, weight) pairs of the published tables
 PUBLISHED = [(TANGENT, w) for w in (0, 1, 2)] + \
     [(COTANGENT, w) for w in (-5, -6, -7)] + [(EXTENDED, w) for w in (-2, -3)]
@@ -313,8 +374,10 @@ def test_tensor_cache_is_independent_of_the_algebra():
     algebras = [FAMILIES[1], FAMILIES[2], rebased]
     cases = [(TANGENT, 2), (EXTENDED, -3)]
     runs = []
+    tables = []
     for order in (algebras, algebras[::-1]):
         weighted._TENSORS.clear()
+        weighted._LETTER_TABLES.clear()
         got = {}
         for g in order:
             for kind, weight in cases:
@@ -323,13 +386,117 @@ def test_tensor_cache_is_independent_of_the_algebra():
                     [boundary_matrix(kind, weight, m, g)
                      for m, _, _ in _boundaries(kind, weight)])
         runs.append(got)
+        tables.append({variant: dict(table) for variant, table
+                       in weighted._LETTER_TABLES.items()})
     assert runs[0] == runs[1]
+    assert tables[0] == tables[1]
     # keyed by (variant, weight, m) alone, holding integers alone
     assert {key[:2] for key in weighted._TENSORS} == \
         {("tangent", 2), ("extended", -3)}
     for (variant, weight, m), tensor in weighted._TENSORS.items():
         assert type(weight) is int and type(m) is int
         assert all(type(x) is int for x in _leaves(tensor))
+    # the letter table: letters and integer forms, nothing of an algebra
+    assert set(weighted._LETTER_TABLES) == {"tangent", "extended"}
+    for variant, table in weighted._LETTER_TABLES.items():
+        alphabet = set(ComplexKind(variant).components())
+        for pair, terms in table.items():
+            for comp, idx in pair + tuple(letter for letter, _ in terms):
+                assert comp in alphabet
+                assert all(type(i) is int for i in idx)
+            for _, form in terms:
+                assert form and all(type(x) is int for x in _leaves(form))
+
+
+# ---------------------------------------------------------------------------
+# the numeric modes rank the raw matrix, the symbolic mode the cleared one
+
+CATALOGUE = list(FAMILIES.values()) + [class_type(n) for n in range(1, 13)]
+
+
+def _rank_and_points(M, mode, nonzero, monkeypatch):
+    """matrix_rank, and the points at which its mod-p trials evaluate."""
+    points = []
+
+    def recording(M, point, *args):
+        points.append(dict(point))
+        return modular(M, point, *args)
+
+    modular = exact._modular_matrix
+    monkeypatch.setattr(exact, "_modular_matrix", recording)
+    try:
+        return matrix_rank(M, mode, nonzero=nonzero), points
+    finally:
+        monkeypatch.setattr(exact, "_modular_matrix", modular)
+
+
+def test_raw_matrix_ranks_like_the_cleared_one(monkeypatch):
+    count = 0
+    for g in CATALOGUE:
+        nonzero = set(g.nonzero)
+        point = {v: Fraction(n + 2, 3) for n, v in enumerate(g.params)}
+        for kind, weight in PUBLISHED:
+            builder = _BoundaryBuilder(g, kind)
+            for m, basis_m, basis_prev in _boundaries(kind, weight):
+                raw = builder.raw_matrix(weight, m, basis_m, basis_prev)
+                cleared = builder.matrix(weight, m, basis_m, basis_prev)
+                assert raw.entries.keys() == cleared.entries.keys()
+                # the same sample space, hence the same sample points
+                assert sorted(set(raw.parameters()) | nonzero) == \
+                    sorted(set(cleared.parameters()) | nonzero)
+                assert bool(raw.parameters()) == bool(cleared.parameters())
+                assert _rank_and_points(raw, Randomized(), g.nonzero,
+                                        monkeypatch) == \
+                    _rank_and_points(cleared, Randomized(), g.nonzero,
+                                     monkeypatch), (g.label, kind, weight, m)
+                assert matrix_rank(raw, Specialized(point), g.nonzero) == \
+                    matrix_rank(cleared, Specialized(point), g.nonzero)
+                count += 1
+    assert count == 666
+
+
+def _undeclared():
+    """Family 2's constants, its denominator C144 not declared nonzero."""
+    return LieAlgebra4("undeclared", FAMILIES[2].c)
+
+
+def test_raw_matrix_sampling_skips_a_zero_denominator(monkeypatch):
+    # draws from {-1, 0, 1} hit C144 = 0 about every third time; where
+    # C144 divides an entry, such a point is drawn again, exactly as for
+    # the declared-nonzero family 2, instead of failing to evaluate
+    monkeypatch.setattr(exact, "_COEFF_RANGE", (-1, 1))
+    g = _undeclared()
+    assert g.nonzero == () and FAMILIES[2].nonzero == ("C144",)
+    with_denominator = 0
+    for kind, weight in ((TANGENT, 1), (COTANGENT, -5), (EXTENDED, -2)):
+        builder = _BoundaryBuilder(g, kind)
+        declared = _BoundaryBuilder(FAMILIES[2], kind)
+        for m, basis_m, basis_prev in _boundaries(kind, weight):
+            raw = builder.raw_matrix(weight, m, basis_m, basis_prev)
+            if common_denominator(raw.entries.values()) == 1:
+                continue
+            with_denominator += 1
+            for seed in range(10):
+                got, points = _rank_and_points(raw, Randomized(seed=seed), (),
+                                               monkeypatch)
+                assert all(p["C144"] for p in points)
+                assert (got, points) == _rank_and_points(
+                    declared.raw_matrix(weight, m, basis_m, basis_prev),
+                    Randomized(seed=seed), FAMILIES[2].nonzero, monkeypatch)
+    assert with_denominator
+
+
+def test_specialized_zero_denominator_raises():
+    g = _undeclared()
+    point = {"C143": 1, "C144": 0, "C234": 1, "C244": 1}
+    raw = _BoundaryBuilder(g, TANGENT).raw_matrix(1, 2)
+    assert "C144" in raw.parameters()
+    with pytest.raises(DegenerateDenominator):
+        matrix_rank(raw, Specialized(point))
+    with pytest.raises(DegenerateDenominator):
+        strata_report(TANGENT, 1, 2, g, point)
+    with pytest.raises(DegenerateDenominator):
+        homology_report(TANGENT, 1, g, Specialized(point))
 
 
 # ---------------------------------------------------------------------------
