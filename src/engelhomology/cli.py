@@ -147,9 +147,9 @@ def _check_names(option, assignment, algebra):
 
 def _pick_algebra(args):
     params = _parse_assignment(args.param) if args.param else {}
+    if params and getattr(args, "class_type", None) is None:
+        raise ValueError("--param applies to --type selectors")
     if args.family is not None:
-        if params:
-            raise ValueError("--param applies to --type selectors")
         return family(args.family)
     if getattr(args, "class_type", None) is not None:
         _check_names("--param", params, class_type(args.class_type))

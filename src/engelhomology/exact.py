@@ -344,12 +344,36 @@ class ParamPolynomial:
 def common_denominator(polys):
     """The least monic monomial whose product with each of `polys` is a
     polynomial: each parameter to its largest negative exponent."""
-    den = {}
+    return _monomial_denominator(m for p in polys for m in p.terms)
+
+
+def coefficient_table(polys):
+    """(C, monomials, D) with sum_j C[f, j] * monomials[j] / D equal to
+    polys[f]: D is the least common denominator of the coefficients and
+    C an integer array, int64 when every entry fits, else of Python
+    integers."""
+    monomials = {}
     for p in polys:
         for m in p.terms:
-            for v, k in m:
-                if -k > den.get(v, 0):
-                    den[v] = -k
+            monomials.setdefault(m, len(monomials))
+    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    C = np.zeros((len(polys), len(monomials)), dtype=object)
+    for f, p in enumerate(polys):
+        for m, c in p.terms.items():
+            C[f, monomials[m]] = c.numerator * (den // c.denominator)
+    if all(abs(x) < 2**63 for x in C.flat):
+        C = C.astype(np.int64)
+    return C, tuple(monomials), den
+
+
+def _monomial_denominator(monomials):
+    """The least monic monomial whose product with each of `monomials`
+    has no negative exponent."""
+    den = {}
+    for m in monomials:
+        for v, k in m:
+            if -k > den.get(v, 0):
+                den[v] = -k
     return ParamPolynomial({tuple(sorted(den.items())): Fraction(1)})
 
 
@@ -514,6 +538,17 @@ class PolyMatrix:
             out.update(p.parameters())
         return tuple(sorted(out))
 
+    def tensor(self):
+        """This matrix as a TensorMatrix, the form the numeric rank modes
+        evaluate: one coefficient row per distinct entry object."""
+        polys = list(_distinct(self.entries.values()))
+        index = {id(p): f for f, p in enumerate(polys)}
+        cells = np.array([(r, c, index[id(p)])
+                          for (r, c), p in self.entries.items()],
+                         dtype=np.intp).reshape(-1, 3)
+        return TensorMatrix(self.rows, self.cols, cells,
+                            *coefficient_table(polys))
+
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
@@ -543,6 +578,116 @@ class PolyMatrix:
                 if not v.is_zero():
                     out[(r, c)] = v
         return PolyMatrix(self.rows, other.cols, out)
+
+
+class TensorMatrix:
+    """Sparse matrix whose distinct entries share one table of integer
+    coefficients over Laurent monomials: entry f is
+    sum_j coefficients[f, j] * monomials[j] / denominator.
+
+    `cells` is an integer array of (row, col, f) rows.  Entries whose
+    coefficients all vanish and monomials that no entry uses are
+    dropped, so `entries` holds one (row, col, f) row per nonzero cell.
+    An evaluation evaluates each monomial once and forms every entry in
+    one vectorized product.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_coefficients", "_monomials",
+                 "_denominator", "_residues")
+
+    def __init__(self, rows, cols, cells, coefficients, monomials,
+                 denominator):
+        nonzero = coefficients != 0
+        alive = nonzero.any(axis=1)
+        used = nonzero.any(axis=0)
+        entries = cells[alive[cells[:, 2]]]
+        entries[:, 2] = (np.cumsum(alive) - 1)[entries[:, 2]]
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+        self._coefficients = coefficients[alive][:, used]
+        self._monomials = [m for m, u in zip(monomials, used) if u]
+        self._denominator = denominator
+        self._residues = None  # coefficients / denominator mod _PRIME
+
+    def tensor(self):
+        return self
+
+    def parameters(self):
+        return tuple(sorted({v for m in self._monomials for v, _ in m}))
+
+    def denominator(self):
+        """The common denominator of the entries."""
+        return _monomial_denominator(self._monomials)
+
+    def polynomials(self):
+        """The distinct entries as ParamPolynomials, indexed like the
+        third column of `entries`."""
+        den = self._denominator
+        return [ParamPolynomial({m: Fraction(a, den)
+                                 for m, a in zip(self._monomials, row) if a})
+                for row in self._coefficients.tolist()]
+
+    def _bad_point(self, assignment):
+        """Raise why evaluation at `assignment` failed, as
+        ParamPolynomial.evaluate does."""
+        for v in self.parameters():
+            if v not in assignment:
+                raise MissingParameter(v)
+        raise DegenerateDenominator(str(self.denominator()))
+
+    def modular(self, point):
+        """The matrix modulo _PRIME at an integer point, as an int64
+        array."""
+        p = _PRIME
+        if self._residues is None:
+            try:
+                inv = pow(self._denominator, -1, p)
+            except ValueError:
+                raise DegenerateDenominator(
+                    f"coefficient denominator {self._denominator} "
+                    f"vanishes mod {p}") from None
+            self._residues = (self._coefficients % p * inv % p).astype(
+                np.int64)
+        try:
+            values = []
+            for m in self._monomials:
+                t = 1
+                for v, k in m:
+                    t = t * pow(point[v] % p, k, p) % p
+                values.append(t)
+        except (KeyError, ValueError):
+            self._bad_point(point)
+        # both factors are below p, so no int64 product overflows
+        x = np.array(values, dtype=np.int64)
+        forms = (self._residues * x % p).sum(axis=1) % p
+        e = self.entries
+        arr = np.zeros((self.rows, self.cols), dtype=np.int64)
+        arr[e[:, 0], e[:, 1]] = forms[e[:, 2]]
+        return arr
+
+    def rational_rows(self, assignment):
+        """The matrix at a point, as rows of Fractions."""
+        try:
+            values = []
+            for m in self._monomials:
+                t = Fraction(1)
+                for v, k in m:
+                    t *= _as_fraction(assignment[v]) ** k
+                values.append(t)
+        except (KeyError, ZeroDivisionError):
+            self._bad_point(assignment)
+        # one integer product over the common denominator of the values
+        scale = lcm(*(t.denominator for t in values))
+        x = np.array([t.numerator * (scale // t.denominator) for t in values],
+                     dtype=object)
+        den = self._denominator * scale
+        forms = [Fraction(n, den)
+                 for n in (self._coefficients.astype(object) @ x).tolist()]
+        rows = [[Fraction(0)] * self.cols for _ in range(self.rows)]
+        for r, c, f in self.entries.tolist():
+            rows[r][c] = forms[f]
+        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -576,23 +721,27 @@ class Specialized:
         self.assignment = {k: _as_fraction(v) for k, v in assignment.items()}
 
 
-def matrix_rank(M, mode, nonzero=()):
+def matrix_rank(M, mode, nonzero=(), trials=None):
     """(rank, kernel_dim) of M under the given mode.
 
-    `nonzero` lists polynomials assumed nonzero (nondegeneracy conditions);
-    Randomized sampling rejects points on their zero locus and Specialized
-    refuses points violating them.  Entries may have denominators:
-    Randomized sampling also rejects a point where one vanishes, and
-    Specialized raises DegenerateDenominator at such a point.
+    M is a PolyMatrix or a TensorMatrix; the numeric modes evaluate
+    M.tensor().  `nonzero` lists polynomials
+    assumed nonzero (nondegeneracy conditions); Randomized sampling
+    rejects points on their zero locus and Specialized refuses points
+    violating them.  Entries may have denominators: Randomized sampling
+    also rejects a point where one vanishes, and Specialized raises
+    DegenerateDenominator at such a point.  `trials`, a range of trial
+    indices, runs only those of a Randomized mode's trials, at the
+    points the full sequence draws for them; by default all run.
     """
     nonzero = [p if isinstance(p, ParamPolynomial)
                else ParamPolynomial.variable(p) for p in nonzero]
     if isinstance(mode, SymbolicGeneric):
         r = _rank_symbolic(M)
     elif isinstance(mode, Randomized):
-        r = _rank_randomized(M, mode, nonzero)
+        r = _rank_randomized(M.tensor(), mode, nonzero, trials)
     elif isinstance(mode, Specialized):
-        r = _rank_specialized(M, mode, nonzero)
+        r = _rank_specialized(M.tensor(), mode, nonzero)
     else:
         raise TypeError(f"unknown rank mode {mode!r}")
     return r, M.cols - r
@@ -602,7 +751,7 @@ def kernel_basis(M, mode):
     """Exact rational kernel basis; Specialized mode only."""
     if not isinstance(mode, Specialized):
         raise TypeError("kernel_basis requires Specialized mode")
-    work, pivots = row_reduce(_evaluated_rows(M, mode.assignment))
+    work, pivots = row_reduce(M.tensor().rational_rows(mode.assignment))
     basis = []
     for fc in range(M.cols):
         if fc in pivots:
@@ -663,7 +812,7 @@ def _rank_symbolic(M):
 # -- randomized ------------------------------------------------------------
 
 
-def _rank_randomized(M, mode, nonzero):
+def _rank_randomized(M, mode, nonzero, trials=None):
     # rejection sampling would never find a point off a zero polynomial
     for p in nonzero:
         if p.is_zero():
@@ -676,18 +825,23 @@ def _rank_randomized(M, mode, nonzero):
     params = sorted(set(params).union(*(p.parameters() for p in nonzero)))
     # a point must not zero a nondegeneracy polynomial, nor a denominator
     # of an entry: a nonzero monomial stays nonzero mod p in _COEFF_RANGE
-    guards = nonzero + [common_denominator(_distinct(M.entries.values()))]
+    guards = nonzero + [M.denominator()]
+    if trials is None:
+        trials = range(mode.trials)
     rng = random.Random(mode.seed)
     lo, hi = _COEFF_RANGE
     best = 0
     limit = min(M.rows, M.cols)
-    for _ in range(mode.trials):
+    # the points of earlier trials are drawn, not ranked, so that each
+    # trial ranks at the same point whichever trials run
+    for trial in range(trials.stop):
         while True:
             point = {v: rng.randint(lo, hi) for v in params}
             if all(p.evaluate(point) != 0 for p in guards):
                 break
-        arr = _modular_matrix(M, point)
-        r = _rank_mod_p(arr)
+        if trial < trials.start:
+            continue
+        r = _rank_mod_p(M.modular(point))
         if r > best:
             best = r
         if best == limit:
@@ -697,19 +851,9 @@ def _rank_randomized(M, mode, nonzero):
 
 def _distinct(polys):
     """Each object among `polys` once.  Cells of a matrix may share one
-    entry object, which is then evaluated once; the matrix holds the
-    objects, so their ids stay unique while it is in use."""
+    entry object, which then gets one coefficient row; the matrix holds
+    the objects, so their ids stay unique while it is in use."""
     return {id(poly): poly for poly in polys}.values()
-
-
-def _modular_matrix(M, point, p=_PRIME):
-    values = {id(poly): poly.evaluate_mod(point, p)
-              for poly in _distinct(M.entries.values())}
-    arr = np.zeros((M.rows, M.cols), dtype=np.int64)
-    if M.entries:
-        arr[tuple(np.array(list(M.entries)).T)] = \
-            [values[id(poly)] for poly in M.entries.values()]
-    return arr
 
 
 def _rank_mod_p(arr, p=_PRIME):
@@ -740,21 +884,12 @@ def _rank_mod_p(arr, p=_PRIME):
 # -- specialized -----------------------------------------------------------
 
 
-def _evaluated_rows(M, assignment):
-    values = {id(poly): poly.evaluate(assignment)
-              for poly in _distinct(M.entries.values())}
-    rows = [[Fraction(0)] * M.cols for _ in range(M.rows)]
-    for (r, c), poly in M.entries.items():
-        rows[r][c] = values[id(poly)]
-    return rows
-
-
 def _rank_specialized(M, mode, nonzero):
     for p in nonzero:
         if p.evaluate(mode.assignment) == 0:
             raise DegenerateDenominator(
                 f"assignment zeroes nondegeneracy polynomial {p}")
-    return len(row_reduce(_evaluated_rows(M, mode.assignment))[1])
+    return len(row_reduce(M.rational_rows(mode.assignment))[1])
 
 
 def inverse(T):

@@ -167,18 +167,29 @@ class LieAlgebra4:
         Key (i, j, k, m) with i < j < k holds the y_m-coefficient of
         [[y_i,y_j],y_k] + [[y_j,y_k],y_i] + [[y_k,y_i],y_j].
         """
-        out = {}
-        for (i, j, k) in [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]:
-            yi, yj, yk = Vector4.basis(i), Vector4.basis(j), Vector4.basis(k)
-            total = (self.bracket(self.bracket(yi, yj), yk)
-                     + self.bracket(self.bracket(yj, yk), yi)
-                     + self.bracket(self.bracket(yk, yi), yj))
+        return dict(self._jacobi_items())
+
+    def _jacobi_items(self):
+        """(key, residual) as in jacobi_residuals, in key order, each the
+        contraction sum_l (c_ij^l c_lk^m + c_jk^l c_li^m + c_ki^l c_lj^m)
+        over the stored constants."""
+        c = {}
+        for (i, j, k), v in self.c.items():
+            c[(i, j, k)] = v
+            c[(j, i, k)] = -v
+        for i, j, k in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
             for m in range(1, 5):
-                out[(i, j, k, m)] = total.coeff(m)
-        return out
+                total = ParamPolynomial.zero()
+                for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l in range(1, 5):
+                        a = c.get((p, q, l))
+                        b = c.get((l, r, m))
+                        if a is not None and b is not None:
+                            total = total + a * b
+                yield (i, j, k, m), total
 
     def is_lie(self):
-        return all(v.is_zero() for v in self.jacobi_residuals().values())
+        return not any(v for _, v in self._jacobi_items())
 
     def specialize(self, assignment, label=None):
         """Substitute parameter values (possibly partial).  A new label

@@ -19,9 +19,11 @@ Every bracket is linear in the 24 structure constants c_ijk, so d_m does
 not depend on the algebra beyond them: each d_m is built once per
 process and (complex, weight, m) in integer arithmetic, from the
 brackets of letter pairs over an algebra whose constants are variables,
-stored as integer linear forms in the c_ijk, and contracted with each
-algebra's constants.  The numeric rank modes take the contracted matrix
-as it is; only the symbolic mode clears its denominators.
+as an integer matrix F of linear forms in the c_ijk.  An algebra's
+constants are an integer matrix K over their Laurent monomials, so
+F·K holds the exact coefficients of every entry of d_m.  The numeric
+rank modes evaluate that product directly; only the symbolic mode
+makes polynomials of it and clears their denominators.
 """
 
 from bisect import bisect_left
@@ -30,12 +32,16 @@ from math import comb
 
 import itertools
 
+import numpy as np
+
 from .exact import (
     ParamPolynomial,
     PolyMatrix,
     Randomized,
     Specialized,
     SymbolicGeneric,
+    TensorMatrix,
+    coefficient_table,
     common_denominator,
     matrix_rank,
 )
@@ -244,16 +250,19 @@ def _letter_bracket(g, kind, li, lj):
 
 # variant -> {(letter, letter): ((letter, form), ...)}; see _letter_forms
 _LETTER_TABLES = {}
-# (variant, weight, m) -> (forms, cells) of d_m; see _boundary_tensor
+# (variant, weight, m) -> (F, cells) of d_m; see _boundary_tensor
 _TENSORS = {}
+# the structure constants c_ijk (i < j), in the column order of F
+_CONSTANTS = tuple((i, j, k) for i in range(1, 5) for j in range(i + 1, 5)
+                   for k in range(1, 5))
+_CONSTANT_INDEX = {ijk: n for n, ijk in enumerate(_CONSTANTS)}
 
 
 def _universal_algebra():
     """The algebra whose 24 structure constants c_ijk are independent
     variables, each named by its index triple."""
     return LieAlgebra4("universal", {
-        (i, j, k): ParamPolynomial.variable((i, j, k))
-        for i in range(1, 5) for j in range(i + 1, 5) for k in range(1, 5)})
+        ijk: ParamPolynomial.variable(ijk) for ijk in _CONSTANTS})
 
 
 def _letter_forms(universal, kind, pair):
@@ -271,10 +280,11 @@ def _letter_forms(universal, kind, pair):
 
 
 def _boundary_tensor(kind, weight, m, basis_m, basis_prev):
-    """d_m as an algebra-independent integer tensor, built once per
-    process: `forms` lists the distinct entries, each an integer linear
-    form ((i, j, k), a), ... in the structure constants, and `cells`
-    lists (row, col, form index) column by column.  Every bracket is
+    """d_m as an algebra-independent integer tensor (F, cells), built
+    once per process: row f of the int64 matrix F is a distinct entry,
+    an integer linear form in the structure constants (column n holds
+    the coefficient of _CONSTANTS[n]), and the rows of the integer array
+    `cells` are (row, col, f), column by column.  Every bracket is
     linear in the constants, so over any algebra an entry is its form
     evaluated at that algebra's c_ijk.
 
@@ -332,44 +342,65 @@ def _boundary_tensor(kind, weight, m, basis_m, basis_prev):
             form = tuple(sorted((ijk, a) for ijk, a in by_ijk.items() if a))
             if form:
                 cells.append((row, col, forms.setdefault(form, len(forms))))
-    got = _TENSORS[key] = (tuple(forms), tuple(cells))
+    F = np.zeros((len(forms), len(_CONSTANTS)), dtype=np.int64)
+    for f, form in enumerate(forms):
+        for ijk, a in form:
+            F[f, _CONSTANT_INDEX[ijk]] = a
+    cells = np.array(cells, dtype=np.intp).reshape(-1, 3)
+    F.flags.writeable = cells.flags.writeable = False
+    got = _TENSORS[key] = (F, cells)
     return got
 
 
-def _contract(form, constants):
-    """The linear form sum a * c_ijk at the given constants."""
-    terms = {}
-    for ijk, a in form:
-        c = constants.get(ijk)
-        if c is not None:
-            for mono, x in c.terms.items():
-                terms[mono] = terms.get(mono, 0) + a * x
-    return ParamPolynomial(terms)
+def _contraction(F, K):
+    """F·K exactly: in int64 when no sum can overflow, else in Python
+    integers."""
+    if K.dtype == np.int64 and F.size and K.size:
+        bound = int(np.abs(F).sum(axis=1).max()) * int(np.abs(K).max())
+        if bound < 2**63:
+            return F @ K
+    return F.astype(object) @ K.astype(object)
 
 
 class _BoundaryBuilder:
-    """All d_m of one (algebra, kind), contracted from the boundary
-    tensors with the algebra's structure constants."""
+    """All d_m of one (algebra, kind): the boundary tensors contracted
+    with the algebra's structure constants."""
 
-    __slots__ = ("g", "kind")
+    __slots__ = ("g", "kind", "_constants")
 
     def __init__(self, g, kind):
         self.g = g
         self.kind = _as_kind(kind)
+        # K, monomials, D: row n of K / D is the constant _CONSTANTS[n]
+        self._constants = coefficient_table(
+            [g.c.get(ijk, ParamPolynomial.zero()) for ijk in _CONSTANTS])
+
+    def boundary(self, weight, m, basis_m=None, basis_prev=None):
+        """d_m as a TensorMatrix: the coefficients F·K of its distinct
+        entries over the monomials of the constants, with denominators.
+
+        At a point where no denominator vanishes, the cleared matrix is
+        this one with each column scaled by a nonzero number, so both
+        have the same rank there: the numeric rank modes take this one.
+        """
+        if basis_m is None:
+            basis_m = chain_basis(self.kind, weight, m)
+        if basis_prev is None:
+            basis_prev = chain_basis(self.kind, weight, m - 1)
+        F, cells = _boundary_tensor(self.kind, weight, m, basis_m,
+                                    basis_prev)
+        K, monomials, den = self._constants
+        return TensorMatrix(basis_prev.dimension, basis_m.dimension, cells,
+                            _contraction(F, K), monomials, den)
 
     def _cells(self, weight, m, basis_m=None, basis_prev=None):
         """The shape of d_m and (row, col, entry) of its nonzero cells,
         column by column; cells with the same form share one entry
         object."""
-        if basis_m is None:
-            basis_m = chain_basis(self.kind, weight, m)
-        if basis_prev is None:
-            basis_prev = chain_basis(self.kind, weight, m - 1)
-        forms, cells = _boundary_tensor(self.kind, weight, m, basis_m,
-                                        basis_prev)
-        values = [_contract(form, self.g.c) for form in forms]
-        return basis_prev.dimension, basis_m.dimension, \
-            [(row, col, values[f]) for row, col, f in cells if values[f]]
+        M = self.boundary(weight, m, basis_m, basis_prev)
+        values = M.polynomials()
+        return M.rows, M.cols, \
+            [(row, col, values[f]) for row, col, f in M.entries.tolist()]
 
     def fraction_columns(self, weight, m, basis_m=None, basis_prev=None):
         """Raw differential as {column: {row: ParamPolynomial}}, entries
@@ -379,19 +410,6 @@ class _BoundaryBuilder:
         identity d_{m} after d_{m+1} = 0 only holds before clearing.
         """
         return _columns(self._cells(weight, m, basis_m, basis_prev)[2])
-
-    def raw_matrix(self, weight, m, basis_m=None, basis_prev=None):
-        """d_m as a PolyMatrix whose entries keep their denominators.
-
-        At a point where no denominator vanishes, the cleared matrix is
-        this one with each column scaled by a nonzero number, so both
-        have the same rank there: the numeric rank modes take this one.
-        """
-        rows, cols, cells = self._cells(weight, m, basis_m, basis_prev)
-        M = PolyMatrix(rows, cols)
-        # the cells are in range and nonzero by construction
-        M.entries = {(row, col): v for row, col, v in cells}
-        return M
 
     def matrix(self, weight, m, basis_m=None, basis_prev=None):
         """d_m with its denominators cleared column by column."""
@@ -515,7 +533,16 @@ def _scan_cap(weight):
 
 
 def homology_report(kind, weight, algebra, mode=None, specialization=None):
-    """Betti table of one weighted complex under the given rank mode."""
+    """Betti table of one weighted complex under the given rank mode.
+
+    In Randomized mode over a Lie algebra, d_m d_{m+1} = 0 bounds the
+    generic rank of d_m by dim C_m - rank d_{m+1} and by
+    dim C_{m-1} - rank d_{m-1}.  Each trial's rank is a lower bound of
+    the generic rank, so a rank that meets the bound from its
+    neighbours' ranks is the generic rank: every d_m runs its first
+    trial, and a later trial runs only for a rank still below its bound.
+    Any other algebra runs every trial, as `matrix_rank` does.
+    """
     kind = _as_kind(kind)
     if mode is None:
         mode = Randomized()
@@ -526,18 +553,32 @@ def homology_report(kind, weight, algebra, mode=None, specialization=None):
     for m in range(-1, _scan_cap(weight) + 1):
         bases[m] = chain_basis(kind, weight, m)
     ranks = {}
+    matrices = {}
     for m, basis in bases.items():
         if m < 0 or basis.dimension == 0:
             continue
         if bases[m - 1].dimension == 0:
             ranks[m] = 0
-            continue
-        if isinstance(mode, SymbolicGeneric):
-            M = builder.matrix(weight, m, basis, bases[m - 1])
+        elif isinstance(mode, SymbolicGeneric):
+            matrices[m] = builder.matrix(weight, m, basis, bases[m - 1])
         else:
-            M = builder.raw_matrix(weight, m, basis, bases[m - 1])
-        r, _ = matrix_rank(M, mode, nonzero=algebra.nonzero)
-        ranks[m] = r
+            matrices[m] = builder.boundary(weight, m, basis, bases[m - 1])
+    # the sampled ranks; a matrix without parameters is ranked exactly
+    sampled = [m for m, M in matrices.items() if M.parameters()] \
+        if isinstance(mode, Randomized) and mode.trials > 1 else []
+    squeeze = bool(sampled) and algebra.is_lie()
+    first = range(1) if squeeze else None
+    for m, M in matrices.items():
+        ranks[m] = matrix_rank(M, mode, algebra.nonzero, first)[0]
+    for trial in range(1, mode.trials if squeeze else 1):
+        for m in sampled:
+            M = matrices[m]
+            bound = min(M.cols - ranks.get(m + 1, 0),
+                        M.rows - ranks.get(m - 1, 0))
+            if ranks[m] < bound:
+                r, _ = matrix_rank(M, mode, algebra.nonzero,
+                                   range(trial, trial + 1))
+                ranks[m] = max(ranks[m], r)
     rows = []
     for m in sorted(b for b in bases if b >= 0):
         dim = bases[m].dimension
@@ -553,6 +594,6 @@ def homology_report(kind, weight, algebra, mode=None, specialization=None):
 def strata_report(kind, weight, m, algebra, assignment):
     """(rank, kernel_dim) of one boundary matrix at a full specialization;
     raises DegenerateDenominator where a denominator vanishes."""
-    M = _BoundaryBuilder(algebra, kind).raw_matrix(weight, m)
+    M = _BoundaryBuilder(algebra, kind).boundary(weight, m)
     mode = Specialized(assignment)
     return matrix_rank(M, mode, nonzero=algebra.nonzero)

@@ -328,6 +328,24 @@ def test_unknown_parameter_name_exits_1(argv, unknown, known, capsys):
     assert f"(its parameters: {known})" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("betti", "--family", "5", "--param", "C142=1", "--complex", "tangent",
+     "--weights", "0"),
+    ("betti", "--inline", "{inline}", "--param", "z=1", "--complex",
+     "tangent", "--weights", "0"),
+    ("betti", "--inline", "{inline}", "--param", "C142=1", "--complex",
+     "tangent", "--weights", "0"),
+    ("jacobi", "--inline", "{inline}", "--param", "C142=1"),
+    ("foliation", "--inline", "{inline}", "--param", "C142=1"),
+])
+def test_param_outside_type_selectors_exits_1(argv, tmp_path, capsys):
+    inline = tmp_path / "f5.json"
+    inline.write_text(json.dumps(family(5).to_json()), encoding="utf-8")
+    code, out, err = run(capsys, *(a.format(inline=inline) for a in argv))
+    assert (code, out) == (1, "")
+    assert "--param applies to --type selectors" in err
+
+
 def test_constraint_violation_exits_2(capsys):
     code, _, err = run(capsys, "elc", "--type", "5",
                        "--param", "a=0,b=1", "--symbolic")

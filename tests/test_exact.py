@@ -483,3 +483,12 @@ def test_randomized_rejects_zero_nondegeneracy_polynomial():
         matrix_rank(M, Randomized(), nonzero=[PC(0)])
     with pytest.raises(DegenerateDenominator):
         matrix_rank(M, Randomized(), nonzero=[PV("a") - PV("a")])
+
+
+def test_randomized_refuses_a_coefficient_denominator_divisible_by_p():
+    # 1/p has no inverse mod p: such an entry would read 0 in every
+    # trial and the rank would silently drop
+    M = PolyMatrix.from_rows([[PV("a") * Fraction(1, exact._PRIME)]])
+    assert matrix_rank(M, Specialized({"a": 1})) == (1, 0)
+    with pytest.raises(DegenerateDenominator):
+        matrix_rank(M, Randomized())

@@ -104,6 +104,58 @@ def test_bracket_matches_pairwise_oracle(make, n, u, v):
 # -- Jacobi ----------------------------------------------------------------
 
 
+def _bracket_jacobi_residuals(g):
+    """Reference: the Jacobi residuals through the bracket of basis
+    vectors, [[y_i,y_j],y_k] + [[y_j,y_k],y_i] + [[y_k,y_i],y_j]."""
+    out = {}
+    for (i, j, k) in [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]:
+        yi, yj, yk = Vector4.basis(i), Vector4.basis(j), Vector4.basis(k)
+        total = (g.bracket(g.bracket(yi, yj), yk)
+                 + g.bracket(g.bracket(yj, yk), yi)
+                 + g.bracket(g.bracket(yk, yi), yj))
+        for m in range(1, 5):
+            out[(i, j, k, m)] = total.coeff(m)
+    return out
+
+
+def _assert_jacobi_is_bracket_reference(g):
+    want = _bracket_jacobi_residuals(g)
+    got = g.jacobi_residuals()
+    assert list(got) == sorted(want)
+    assert got == want
+    # printed as the jacobi command prints them
+    assert [str(v) for v in got.values()] == [str(want[k]) for k in got]
+    assert g.is_lie() == all(v.is_zero() for v in want.values())
+
+
+def test_jacobi_contraction_equals_bracket_reference():
+    algebras = [family(n) for n in range(1, 7)]
+    algebras += [class_type(n) for n in range(1, 13)]
+    algebras += [engel_ansatz(),
+                 LieAlgebra4("broken", {(1, 2, 3): 1, (1, 3, 4): 1,
+                                        (3, 4, 1): 1}),
+                 family(2).change_basis([[1, 1, 0, 0], [0, 2, 0, 0],
+                                         [0, 0, 1, 0], [1, 0, 0, 1]])]
+    for g in algebras:
+        _assert_jacobi_is_bracket_reference(g)
+
+
+_CONSTANT_KEYS = [(i, j, k) for i in range(1, 5) for j in range(i + 1, 5)
+                  for k in range(1, 5)]
+_constant_values = st.one_of(
+    _small_rationals,
+    st.tuples(_small_rationals, st.sampled_from(["s", "t"]),
+              st.integers(-2, 2)).map(lambda t: t[0] * PV(t[1]) ** t[2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(constants=st.dictionaries(st.sampled_from(_CONSTANT_KEYS),
+                                 _constant_values, max_size=10))
+def test_jacobi_contraction_equals_bracket_reference_on_random_constants(
+        constants):
+    _assert_jacobi_is_bracket_reference(LieAlgebra4("random", constants))
+
+
 def test_all_families_satisfy_jacobi():
     for n in range(1, 7):
         g = family(n)

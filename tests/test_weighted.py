@@ -18,13 +18,13 @@ from hypothesis import strategies as st
 from engelhomology import exact, weighted
 from engelhomology.exact import (
     DegenerateDenominator,
+    MissingParameter,
     ParamPolynomial,
     PolyMatrix,
     Randomized,
     Specialized,
     SymbolicGeneric,
-    _evaluated_rows,
-    _modular_matrix,
+    TensorMatrix,
     common_denominator,
     matrix_rank,
 )
@@ -353,9 +353,15 @@ def test_shared_entries_evaluate_like_distinct_ones():
     distinct = PolyMatrix(2, 3, {(0, 0): p, (1, 1): copy, (0, 2): q,
                                  (1, 2): ParamPolynomial(dict(p.terms))})
     point = {"s": 7, "t": -3}
-    assert np.array_equal(_modular_matrix(shared, point),
-                          _modular_matrix(distinct, point))
-    assert _evaluated_rows(shared, point) == _evaluated_rows(distinct, point)
+    assert np.array_equal(shared.tensor().modular(point),
+                          distinct.tensor().modular(point))
+    assert np.array_equal(shared.tensor().modular(point),
+                          _modular_matrix(shared, point))
+    assert shared.tensor().rational_rows(point) == \
+        distinct.tensor().rational_rows(point) == \
+        _evaluated_rows(shared, point)
+    # one coefficient row per distinct entry object
+    assert len(shared.tensor().polynomials()) == 2
     assert shared.parameters() == distinct.parameters() == ("s", "t")
 
 
@@ -393,9 +399,10 @@ def test_tensor_cache_is_independent_of_the_algebra():
     # keyed by (variant, weight, m) alone, holding integers alone
     assert {key[:2] for key in weighted._TENSORS} == \
         {("tangent", 2), ("extended", -3)}
-    for (variant, weight, m), tensor in weighted._TENSORS.items():
+    for (variant, weight, m), (F, cells) in weighted._TENSORS.items():
         assert type(weight) is int and type(m) is int
-        assert all(type(x) is int for x in _leaves(tensor))
+        assert F.dtype == np.int64 and F.shape[1] == 24
+        assert cells.dtype.kind == "i" and cells.shape[1] == 3
     # the letter table: letters and integer forms, nothing of an algebra
     assert set(weighted._LETTER_TABLES) == {"tangent", "extended"}
     for variant, table in weighted._LETTER_TABLES.items():
@@ -409,25 +416,149 @@ def test_tensor_cache_is_independent_of_the_algebra():
 
 
 # ---------------------------------------------------------------------------
-# the numeric modes rank the raw matrix, the symbolic mode the cleared one
+# the numeric modes rank the tensor-backed boundary; the reference is the
+# raw contracted matrix, one ParamPolynomial per distinct form
 
 CATALOGUE = list(FAMILIES.values()) + [class_type(n) for n in range(1, 13)]
 
 
-def _rank_and_points(M, mode, nonzero, monkeypatch):
+def _contract(form, constants):
+    """Reference: the linear form sum a * c_ijk at the given constants."""
+    terms = {}
+    for ijk, a in form:
+        c = constants.get(ijk)
+        if c is not None:
+            for mono, x in c.terms.items():
+                terms[mono] = terms.get(mono, 0) + a * x
+    return ParamPolynomial(terms)
+
+
+def _raw_matrix(g, kind, weight, m, basis_m, basis_prev):
+    """Reference: d_m as a PolyMatrix of the tensor's forms contracted one
+    by one with `_contract`, denominators kept; cells with the same form
+    share one entry object."""
+    F, cells = weighted._boundary_tensor(ComplexKind(kind), weight, m,
+                                         basis_m, basis_prev)
+    values = [_contract([(weighted._CONSTANTS[n], a)
+                         for n, a in enumerate(row) if a], g.c)
+              for row in F.tolist()]
+    M = PolyMatrix(basis_prev.dimension, basis_m.dimension)
+    M.entries = {(row, col): values[f] for row, col, f in cells.tolist()
+                 if values[f]}
+    return M
+
+
+def _modular_matrix(M, point, p=exact._PRIME):
+    """Reference: a PolyMatrix mod p at an integer point, each distinct
+    entry object evaluated once by ParamPolynomial.evaluate_mod."""
+    values = {id(poly): poly.evaluate_mod(point, p)
+              for poly in exact._distinct(M.entries.values())}
+    arr = np.zeros((M.rows, M.cols), dtype=np.int64)
+    for (r, c), poly in M.entries.items():
+        arr[r, c] = values[id(poly)]
+    return arr
+
+
+def _evaluated_rows(M, assignment):
+    """Reference: a PolyMatrix at a point as rows of Fractions, each
+    distinct entry object evaluated once by ParamPolynomial.evaluate."""
+    values = {id(poly): poly.evaluate(assignment)
+              for poly in exact._distinct(M.entries.values())}
+    rows = [[Fraction(0)] * M.cols for _ in range(M.rows)]
+    for (r, c), poly in M.entries.items():
+        rows[r][c] = values[id(poly)]
+    return rows
+
+
+def _rank_and_points(M, mode, nonzero, monkeypatch, trials=None):
     """matrix_rank, and the points at which its mod-p trials evaluate."""
     points = []
+    modular = TensorMatrix.modular
 
-    def recording(M, point, *args):
+    def recording(self, point, *args):
         points.append(dict(point))
-        return modular(M, point, *args)
+        return modular(self, point, *args)
 
-    modular = exact._modular_matrix
-    monkeypatch.setattr(exact, "_modular_matrix", recording)
+    monkeypatch.setattr(TensorMatrix, "modular", recording)
     try:
-        return matrix_rank(M, mode, nonzero=nonzero), points
+        return matrix_rank(M, mode, nonzero, trials), points
     finally:
-        monkeypatch.setattr(exact, "_modular_matrix", modular)
+        monkeypatch.setattr(TensorMatrix, "modular", modular)
+
+
+def _raises(fn):
+    try:
+        fn()
+    except (MissingParameter, DegenerateDenominator) as exc:
+        return type(exc)
+    return None
+
+
+def _assert_tensor_is_raw(g, seed):
+    rng = random.Random(seed)
+    count = 0
+    for kind, weight in PUBLISHED:
+        builder = _BoundaryBuilder(g, kind)
+        for m, basis_m, basis_prev in _boundaries(kind, weight):
+            M = builder.boundary(weight, m, basis_m, basis_prev)
+            raw = _raw_matrix(g, kind, weight, m, basis_m, basis_prev)
+            where = (g.label, kind, weight, m)
+            # one entry per nonzero cell, each the raw entry
+            values = M.polynomials()
+            assert {(r, c): values[f] for r, c, f in M.entries.tolist()} \
+                == raw.entries, where
+            assert len(M.entries) == len(raw.entries)
+            assert (M.rows, M.cols) == (raw.rows, raw.cols)
+            params = M.parameters()
+            assert params == raw.parameters(), where
+            assert M.denominator() == common_denominator(
+                raw.entries.values()), where
+            den = M.denominator().parameters()
+            for _ in range(2):
+                point = {v: rng.choice([1, -1]) * rng.randint(1, 10_000)
+                         for v in params}
+                assert np.array_equal(M.modular(point),
+                                      _modular_matrix(raw, point)), where
+                exact_point = {v: Fraction(rng.randint(-9, 9) or 1,
+                                           rng.randint(1, 9))
+                               for v in params}
+                assert M.rational_rows(exact_point) == \
+                    _evaluated_rows(raw, exact_point), where
+            # a point without a parameter, or zeroing a denominator
+            bad = [{v: 1 for v in params[1:]}] if params else []
+            bad += [{v: 0 if v == d else 1 for v in params} for d in den]
+            for point in bad:
+                for ours, reference in ((M.modular, _modular_matrix),
+                                        (M.rational_rows, _evaluated_rows)):
+                    got = _raises(lambda: ours(point))
+                    assert got is not None, (where, point)
+                    assert got is _raises(lambda: reference(raw, point)), \
+                        (where, point)
+            count += 1
+    return count
+
+
+def test_tensor_boundary_equals_the_raw_matrix_on_the_catalogue():
+    assert sum(_assert_tensor_is_raw(g, seed)
+               for seed, g in enumerate(CATALOGUE)) == 666
+
+
+def test_tensor_boundary_equals_the_raw_matrix_on_rational_algebras():
+    T = [[1, 2, 0, 0], [0, 3, 0, 0], [0, 0, 1, 2], [1, 0, 0, 5]]
+    rebased = FAMILIES[3].change_basis(T)
+    assert rebased.params == FAMILIES[3].params
+    # denominators past int64: the contraction runs in Python integers
+    big = FAMILIES[5].specialize({"C142": Fraction(1, 10**10 + 19),
+                                  "C143": Fraction(10**9 + 7, 3)},
+                                 label="big")
+    assert _BoundaryBuilder(big, TANGENT)._constants[0].dtype == object
+    # K fits int64, but F·K would not: the bound sends it to Python integers
+    wide = FAMILIES[5].specialize({"C142": Fraction(1, 2**61 + 1)},
+                                  label="wide")
+    K = _BoundaryBuilder(wide, TANGENT)._constants[0]
+    assert K.dtype == np.int64 and np.abs(K).max() > 2**61
+    for seed, g in enumerate((rebased, big, wide)):
+        assert _assert_tensor_is_raw(g, seed) == 37
 
 
 def test_raw_matrix_ranks_like_the_cleared_one(monkeypatch):
@@ -438,9 +569,10 @@ def test_raw_matrix_ranks_like_the_cleared_one(monkeypatch):
         for kind, weight in PUBLISHED:
             builder = _BoundaryBuilder(g, kind)
             for m, basis_m, basis_prev in _boundaries(kind, weight):
-                raw = builder.raw_matrix(weight, m, basis_m, basis_prev)
+                raw = builder.boundary(weight, m, basis_m, basis_prev)
                 cleared = builder.matrix(weight, m, basis_m, basis_prev)
-                assert raw.entries.keys() == cleared.entries.keys()
+                assert {(r, c) for r, c, _ in raw.entries.tolist()} == \
+                    cleared.entries.keys()
                 # the same sample space, hence the same sample points
                 assert sorted(set(raw.parameters()) | nonzero) == \
                     sorted(set(cleared.parameters()) | nonzero)
@@ -472,8 +604,8 @@ def test_raw_matrix_sampling_skips_a_zero_denominator(monkeypatch):
         builder = _BoundaryBuilder(g, kind)
         declared = _BoundaryBuilder(FAMILIES[2], kind)
         for m, basis_m, basis_prev in _boundaries(kind, weight):
-            raw = builder.raw_matrix(weight, m, basis_m, basis_prev)
-            if common_denominator(raw.entries.values()) == 1:
+            raw = builder.boundary(weight, m, basis_m, basis_prev)
+            if raw.denominator() == 1:
                 continue
             with_denominator += 1
             for seed in range(10):
@@ -481,7 +613,7 @@ def test_raw_matrix_sampling_skips_a_zero_denominator(monkeypatch):
                                                monkeypatch)
                 assert all(p["C144"] for p in points)
                 assert (got, points) == _rank_and_points(
-                    declared.raw_matrix(weight, m, basis_m, basis_prev),
+                    declared.boundary(weight, m, basis_m, basis_prev),
                     Randomized(seed=seed), FAMILIES[2].nonzero, monkeypatch)
     assert with_denominator
 
@@ -489,7 +621,7 @@ def test_raw_matrix_sampling_skips_a_zero_denominator(monkeypatch):
 def test_specialized_zero_denominator_raises():
     g = _undeclared()
     point = {"C143": 1, "C144": 0, "C234": 1, "C244": 1}
-    raw = _BoundaryBuilder(g, TANGENT).raw_matrix(1, 2)
+    raw = _BoundaryBuilder(g, TANGENT).boundary(1, 2)
     assert "C144" in raw.parameters()
     with pytest.raises(DegenerateDenominator):
         matrix_rank(raw, Specialized(point))
@@ -497,6 +629,100 @@ def test_specialized_zero_denominator_raises():
         strata_report(TANGENT, 1, 2, g, point)
     with pytest.raises(DegenerateDenominator):
         homology_report(TANGENT, 1, g, Specialized(point))
+
+
+# ---------------------------------------------------------------------------
+# the d^2 = 0 squeeze stops the randomized trials of a proven rank
+
+
+def _report_points(kind, weight, g, monkeypatch):
+    """homology_report, and for each m the points its trials ranked d_m
+    at."""
+    made = {}
+    boundary = _BoundaryBuilder.boundary
+
+    def recording_boundary(self, weight, m, *args):
+        M = boundary(self, weight, m, *args)
+        made[id(M)] = (m, M)
+        return M
+
+    seen = []
+    modular = TensorMatrix.modular
+
+    def recording(self, point, *args):
+        seen.append((made[id(self)][0], dict(point)))
+        return modular(self, point, *args)
+
+    monkeypatch.setattr(_BoundaryBuilder, "boundary", recording_boundary)
+    monkeypatch.setattr(TensorMatrix, "modular", recording)
+    try:
+        rep = homology_report(kind, weight, g)
+    finally:
+        monkeypatch.setattr(_BoundaryBuilder, "boundary", boundary)
+        monkeypatch.setattr(TensorMatrix, "modular", modular)
+    points = {}
+    for m, point in seen:
+        points.setdefault(m, []).append(point)
+    return rep, points
+
+
+def _full_trials(g, kind, weight, monkeypatch):
+    """{m: (rank, points)} of every trial loop run to the end, on the raw
+    reference matrices."""
+    return {m: _rank_and_points(_raw_matrix(g, kind, weight, m, basis_m,
+                                            basis_prev),
+                                Randomized(), g.nonzero, monkeypatch)
+            for m, basis_m, basis_prev in _boundaries(kind, weight)}
+
+
+def test_squeeze_runs_a_prefix_of_the_trials_at_the_same_points(monkeypatch):
+    stopped = 0
+    for kind, weight in PUBLISHED:
+        for g in FAMILIES.values():
+            rep, points = _report_points(kind, weight, g, monkeypatch)
+            ranks = {m: dim - ker for m, dim, ker, _ in rep.rows}
+            for m, ((rank, _), full) in _full_trials(g, kind, weight,
+                                                     monkeypatch).items():
+                got = points.get(m, [])
+                assert got == full[:len(got)], (g.label, kind, weight, m)
+                assert ranks[m] == rank, (g.label, kind, weight, m)
+                stopped += len(got) < len(full)
+    assert stopped
+
+
+def test_squeeze_cuts_the_eliminations_of_the_published_tables(monkeypatch):
+    count = [0]
+    rank_mod_p = exact._rank_mod_p
+
+    def counting(arr, *args):
+        count[0] += 1
+        return rank_mod_p(arr, *args)
+
+    monkeypatch.setattr(exact, "_rank_mod_p", counting)
+    for kind, weight in PUBLISHED:
+        for g in FAMILIES.values():
+            homology_report(kind, weight, g)
+    assert count[0] <= 304
+
+
+def test_non_lie_algebra_runs_every_trial(monkeypatch):
+    # the Jacobi identity fails for s != 0, and without d^2 = 0 no bound
+    # is sound: every d_m runs the full trial loop
+    constants = {(1, 2, 3): 1, (1, 3, 4): 1,
+                 (3, 4, 1): ParamPolynomial.variable("s")}
+    g = LieAlgebra4("broken", constants)
+    assert not g.is_lie()
+    assert not LieAlgebra4("broken", {**constants, (3, 4, 1): 1}).is_lie()
+    sampled = 0
+    for kind, weight in PUBLISHED:
+        rep, points = _report_points(kind, weight, g, monkeypatch)
+        ranks = {m: dim - ker for m, dim, ker, _ in rep.rows}
+        for m, ((rank, _), full) in _full_trials(g, kind, weight,
+                                                 monkeypatch).items():
+            assert points.get(m, []) == full, (kind, weight, m)
+            assert ranks[m] == rank
+            sampled += len(full) > 1
+    assert sampled
 
 
 # ---------------------------------------------------------------------------
