@@ -102,7 +102,10 @@ def _parse_witness(text):
 
 
 def _load_inline(path):
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     if doc.get("basis_dim") != 4:
         raise ValueError("inline algebra must have basis_dim 4")
     constants = {}

@@ -203,9 +203,13 @@ class ParamPolynomial:
             raise ValueError("exponent must be an integer")
         if n < 0:
             return ParamPolynomial.const(1) / self ** -n
-        out = ParamPolynomial.const(1)
-        for _ in range(n):
-            out = out * self
+        out, base = ParamPolynomial.const(1), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def divide_exact(self, divisor):
@@ -446,7 +450,10 @@ def parse_fraction(text):
                 return ParamPolynomial.variable(value)
         raise ValueError(f"unexpected token {t!r} in {text!r}")
 
-    node = parse_expr()
+    try:
+        node = parse_expr()
+    except RecursionError:
+        raise ValueError("expression nested too deeply") from None
     if pos[0] != len(tokens):
         raise ValueError(f"trailing input in {text!r}")
     return node

@@ -15,6 +15,7 @@ exactly.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import ParamPolynomial, inverse, parse_fraction
 
@@ -189,7 +190,9 @@ class LieAlgebra4:
                 yield (i, j, k, m), total
 
     def is_lie(self):
-        return not any(v for _, v in self._jacobi_items())
+        """Whether the Jacobi identity holds, memoized on the values."""
+        return _is_lie(frozenset((ijk, frozenset(v.terms.items()))
+                                 for ijk, v in self.c.items()))
 
     def specialize(self, assignment, label=None):
         """Substitute parameter values (possibly partial).  A new label
@@ -242,6 +245,13 @@ class LieAlgebra4:
             "parameters": list(self.params),
             "nonzero": list(self.nonzero),
         }
+
+
+@lru_cache(maxsize=64)
+def _is_lie(constants):
+    """is_lie of the constants ((i, j, k), terms); holds no algebra."""
+    g = LieAlgebra4("", {k: ParamPolynomial(dict(t)) for k, t in constants})
+    return not any(v for _, v in g._jacobi_items())
 
 
 # ---------------------------------------------------------------------------

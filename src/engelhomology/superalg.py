@@ -13,6 +13,7 @@ Elements are stored per graded component as sparse maps from sorted index
 tuples (basis monomials y_S or z_S) to ParamPolynomial coefficients.
 """
 
+from collections import namedtuple
 from math import comb
 
 import itertools
@@ -23,16 +24,19 @@ MULTIVECTOR = "multivector"
 FORM = "form"
 
 
-class GradedComponent:
-    """One homogeneous summand: multivectors or forms of a fixed degree."""
+class GradedComponent(namedtuple("GradedComponent", "species degree")):
+    """One homogeneous summand: multivectors or forms of a fixed degree.
 
-    __slots__ = ("species", "degree")
+    Components compare and hash as (species, degree), so a chain letter
+    (component, index) sorts by itself.
+    """
 
-    def __init__(self, species, degree):
+    __slots__ = ()
+
+    def __new__(cls, species, degree):
         if species not in (MULTIVECTOR, FORM):
             raise ValueError(f"unknown species {species!r}")
-        self.species = species
-        self.degree = degree
+        return super().__new__(cls, species, degree)
 
     @property
     def grade(self):
@@ -67,14 +71,6 @@ class GradedComponent:
         if not idx:
             return "1"
         return "^".join(f"{letter}{i}" for i in idx)
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedComponent):
-            return NotImplemented
-        return (self.species, self.degree) == (other.species, other.degree)
-
-    def __hash__(self):
-        return hash((self.species, self.degree))
 
     def __repr__(self):
         return f"GradedComponent({self.species}, {self.degree})"
@@ -243,14 +239,6 @@ def schouten_bracket(g, P, Q):
 # Chevalley-Eilenberg differential and the form bracket
 
 
-def _dz_table(g):
-    """k -> list of (i, j, coefficient) with d z_k = sum -c_ijk z_i ^ z_j."""
-    table = {k: [] for k in range(1, 5)}
-    for (i, j, k), c in g.c.items():
-        table[k].append((i, j, -c))
-    return table
-
-
 def ce_differential(g, omega):
     """The odd derivation with d z_k = - sum_{i<j} c_ijk z_i ^ z_j and
     d(Lambda^0) = 0; raises on multivector input."""
@@ -258,15 +246,16 @@ def ce_differential(g, omega):
         raise ValueError("ce_differential expects a form")
     p = omega.component.degree
     out_comp = GradedComponent(FORM, p + 1)
-    table = _dz_table(g)
     out = {}
     for S, c in omega.coeffs.items():
         for t_pos, k in enumerate(S, start=1):
             rest = S[:t_pos - 1] + S[t_pos:]
-            # move the even 2-form d z_k to the front: no extra sign beyond
-            # the (-1)^(t-1) from passing the preceding 1-form letters
-            outer = c * ((-1) ** (t_pos - 1))
-            for i, j, coeff in table[k]:
+            # move the even 2-form d z_k = -sum c_ijk z_i^z_j to the front:
+            # (-1)^(t-1) from passing the preceding 1-form letters, times -1
+            outer = c * ((-1) ** t_pos)
+            for (i, j, l), coeff in g.c.items():
+                if l != k:
+                    continue
                 sign, merged = _merge_tuples((i, j), rest)
                 if sign == 0:
                     continue

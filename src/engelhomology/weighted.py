@@ -16,11 +16,12 @@ rest.  The boundary preserves the total weight (= sum of letter grades) and
 drops m by one; homology is H_m = ker d_m / im d_{m+1}.
 
 Every bracket is linear in the 24 structure constants c_ijk, so d_m does
-not depend on the algebra beyond them: each d_m is built once per
-process and (complex, weight, m) in integer arithmetic, from the
-brackets of letter pairs over an algebra whose constants are variables,
-as an integer matrix F of linear forms in the c_ijk.  An algebra's
-constants are an integer matrix K over their Laurent monomials, so
+not depend on the algebra beyond them: each chain basis and each d_m is
+built once per process and (complex, weight, m), d_m in integer
+arithmetic from the brackets of letter pairs over an algebra whose
+constants are variables, as an integer matrix F of linear forms in the
+c_ijk.  An algebra's constants are an integer matrix K over their
+Laurent monomials, so
 F·K holds the exact coefficients of every entry of d_m.  The numeric
 rank modes evaluate that product directly; only the symbolic mode
 makes polynomials of it and clears their denominators.
@@ -100,12 +101,7 @@ def _as_kind(kind):
 # ---------------------------------------------------------------------------
 # signatures and chain bases
 
-# A letter is (component, index-tuple); words sort by this key.
-
-
-def _letter_key(letter):
-    comp, idx = letter
-    return (comp.species, comp.degree, idx)
+# A letter is (component, index-tuple); a word is a sorted tuple of them.
 
 
 def _occupancy_dim(comp, count):
@@ -212,14 +208,11 @@ def enumerate_signatures(kind, weight, m):
 class WeightedChainBasis:
     """Ordered basis of one chain space C_m in a fixed weight."""
 
-    __slots__ = ("kind", "weight", "m", "words", "index")
+    __slots__ = ("words", "index")
 
     def __init__(self, kind, weight, m):
-        self.kind = _as_kind(kind)
-        self.weight = weight
-        self.m = m
         words = []
-        for sig in enumerate_signatures(self.kind, weight, m):
+        for sig in enumerate_signatures(kind, weight, m):
             words.extend(sig.words())
         self.words = tuple(words)
         self.index = {w: i for i, w in enumerate(self.words)}
@@ -229,8 +222,17 @@ class WeightedChainBasis:
         return len(self.words)
 
 
+# (variant, weight, m) -> WeightedChainBasis; see chain_basis
+_BASES = {}
+
+
 def chain_basis(kind, weight, m):
-    return WeightedChainBasis(kind, weight, m)
+    """The basis of C_m in one weight, built once per process."""
+    key = (_as_kind(kind).variant, weight, m)
+    got = _BASES.get(key)
+    if got is None:
+        got = _BASES[key] = WeightedChainBasis(kind, weight, m)
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +252,7 @@ def _letter_bracket(g, kind, li, lj):
 
 # variant -> {(letter, letter): ((letter, form), ...)}; see _letter_forms
 _LETTER_TABLES = {}
-# (variant, weight, m) -> (F, cells) of d_m; see _boundary_tensor
+# (variant, weight, m) -> (rows, cols, F, cells) of d_m; see _boundary_tensor
 _TENSORS = {}
 # the structure constants c_ijk (i < j), in the column order of F
 _CONSTANTS = tuple((i, j, k) for i in range(1, 5) for j in range(i + 1, 5)
@@ -279,9 +281,10 @@ def _letter_forms(universal, kind, pair):
     return tuple(terms)
 
 
-def _boundary_tensor(kind, weight, m, basis_m, basis_prev):
-    """d_m as an algebra-independent integer tensor (F, cells), built
-    once per process: row f of the int64 matrix F is a distinct entry,
+def _boundary_tensor(kind, weight, m):
+    """d_m of a ComplexKind as an algebra-independent integer tensor
+    (rows, cols, F, cells), built once per (variant, weight, m) on the
+    chain_basis bases: row f of the int64 matrix F is a distinct entry,
     an integer linear form in the structure constants (column n holds
     the coefficient of _CONSTANTS[n]), and the rows of the integer array
     `cells` are (row, col, f), column by column.  Every bracket is
@@ -298,12 +301,13 @@ def _boundary_tensor(kind, weight, m, basis_m, basis_prev):
     got = _TENSORS.get(key)
     if got is not None:
         return got
+    source = chain_basis(kind, weight, m)
+    target = chain_basis(kind, weight, m - 1)
     table = _LETTER_TABLES.setdefault(kind.variant, {})
     universal = _universal_algebra()
     forms = {}
     cells = []
-    for col, word in enumerate(basis_m.words):
-        keys = [_letter_key(letter) for letter in word]
+    for col, word in enumerate(source.words):
         pars = [letter[0].word_parity for letter in word]
         prefix = [0]
         for p in pars:
@@ -319,22 +323,20 @@ def _boundary_tensor(kind, weight, m, basis_m, basis_prev):
                 if pars[i]:
                     eps = -eps
                 rest = word[:i] + word[i + 1:j] + word[j + 1:]
-                rest_keys = keys[:i] + keys[i + 1:j] + keys[j + 1:]
                 rest_pars = pars[:i] + pars[i + 1:j] + pars[j + 1:]
                 pair = (word[i], word[j])
                 terms = table.get(pair)
                 if terms is None:
                     terms = table[pair] = _letter_forms(universal, kind, pair)
                 for letter, form in terms:
-                    lk = _letter_key(letter)
-                    pos = bisect_left(rest_keys, lk)
+                    pos = bisect_left(rest, letter)
                     sign = eps
                     if letter[0].word_parity:
-                        if pos < len(rest_keys) and rest_keys[pos] == lk:
+                        if pos < len(rest) and rest[pos] == letter:
                             continue
                         if sum(rest_pars[:pos]) % 2:
                             sign = -sign
-                    row = basis_prev.index[rest[:pos] + (letter,) + rest[pos:]]
+                    row = target.index[rest[:pos] + (letter,) + rest[pos:]]
                     by_ijk = acc.setdefault(row, {})
                     for ijk, a in form:
                         by_ijk[ijk] = by_ijk.get(ijk, 0) + sign * a
@@ -348,7 +350,7 @@ def _boundary_tensor(kind, weight, m, basis_m, basis_prev):
             F[f, _CONSTANT_INDEX[ijk]] = a
     cells = np.array(cells, dtype=np.intp).reshape(-1, 3)
     F.flags.writeable = cells.flags.writeable = False
-    got = _TENSORS[key] = (F, cells)
+    got = _TENSORS[key] = (target.dimension, source.dimension, F, cells)
     return got
 
 
@@ -375,7 +377,7 @@ class _BoundaryBuilder:
         self._constants = coefficient_table(
             [g.c.get(ijk, ParamPolynomial.zero()) for ijk in _CONSTANTS])
 
-    def boundary(self, weight, m, basis_m=None, basis_prev=None):
+    def boundary(self, weight, m):
         """d_m as a TensorMatrix: the coefficients F·K of its distinct
         entries over the monomials of the constants, with denominators.
 
@@ -383,44 +385,33 @@ class _BoundaryBuilder:
         this one with each column scaled by a nonzero number, so both
         have the same rank there: the numeric rank modes take this one.
         """
-        if basis_m is None:
-            basis_m = chain_basis(self.kind, weight, m)
-        if basis_prev is None:
-            basis_prev = chain_basis(self.kind, weight, m - 1)
-        F, cells = _boundary_tensor(self.kind, weight, m, basis_m,
-                                    basis_prev)
+        rows, cols, F, cells = _boundary_tensor(self.kind, weight, m)
         K, monomials, den = self._constants
-        return TensorMatrix(basis_prev.dimension, basis_m.dimension, cells,
-                            _contraction(F, K), monomials, den)
+        return TensorMatrix(rows, cols, cells, _contraction(F, K), monomials,
+                            den)
 
-    def _cells(self, weight, m, basis_m=None, basis_prev=None):
-        """The shape of d_m and (row, col, entry) of its nonzero cells,
-        column by column; cells with the same form share one entry
-        object."""
-        M = self.boundary(weight, m, basis_m, basis_prev)
-        values = M.polynomials()
-        return M.rows, M.cols, \
-            [(row, col, values[f]) for row, col, f in M.entries.tolist()]
-
-    def fraction_columns(self, weight, m, basis_m=None, basis_prev=None):
+    def fraction_columns(self, weight, m):
         """Raw differential as {column: {row: ParamPolynomial}}, entries
         with denominators; cells with the same form share one object.
 
         Unlike the cleared matrix, these columns compose: the chain-map
         identity d_{m} after d_{m+1} = 0 only holds before clearing.
         """
-        return _columns(self._cells(weight, m, basis_m, basis_prev)[2])
+        return _columns(self.boundary(weight, m))
 
-    def matrix(self, weight, m, basis_m=None, basis_prev=None):
+    def matrix(self, weight, m):
         """d_m with its denominators cleared column by column."""
-        rows, cols, cells = self._cells(weight, m, basis_m, basis_prev)
-        return _cleared_matrix(rows, cols, _columns(cells))
+        M = self.boundary(weight, m)
+        return _cleared_matrix(M.rows, M.cols, _columns(M))
 
 
-def _columns(cells):
+def _columns(M):
+    """A TensorMatrix as {column: {row: ParamPolynomial}}, column by
+    column; cells with the same form share one entry object."""
+    values = M.polynomials()
     columns = {}
-    for row, col, v in cells:
-        columns.setdefault(col, {})[row] = v
+    for row, col, f in M.entries.tolist():
+        columns.setdefault(col, {})[row] = values[f]
     return columns
 
 
@@ -549,20 +540,19 @@ def homology_report(kind, weight, algebra, mode=None, specialization=None):
     if specialization:
         algebra = algebra.specialize(specialization)
     builder = _BoundaryBuilder(algebra, kind)
-    bases = {}
-    for m in range(-1, _scan_cap(weight) + 1):
-        bases[m] = chain_basis(kind, weight, m)
+    dims = {m: chain_basis(kind, weight, m).dimension
+            for m in range(-1, _scan_cap(weight) + 1)}
     ranks = {}
     matrices = {}
-    for m, basis in bases.items():
-        if m < 0 or basis.dimension == 0:
+    for m, dim in dims.items():
+        if m < 0 or dim == 0:
             continue
-        if bases[m - 1].dimension == 0:
+        if dims[m - 1] == 0:
             ranks[m] = 0
         elif isinstance(mode, SymbolicGeneric):
-            matrices[m] = builder.matrix(weight, m, basis, bases[m - 1])
+            matrices[m] = builder.matrix(weight, m)
         else:
-            matrices[m] = builder.boundary(weight, m, basis, bases[m - 1])
+            matrices[m] = builder.boundary(weight, m)
     # the sampled ranks; a matrix without parameters is ranked exactly
     sampled = [m for m, M in matrices.items() if M.parameters()] \
         if isinstance(mode, Randomized) and mode.trials > 1 else []
@@ -580,9 +570,8 @@ def homology_report(kind, weight, algebra, mode=None, specialization=None):
                                    range(trial, trial + 1))
                 ranks[m] = max(ranks[m], r)
     rows = []
-    for m in sorted(b for b in bases if b >= 0):
-        dim = bases[m].dimension
-        if dim == 0:
+    for m, dim in dims.items():
+        if m < 0 or dim == 0:
             continue
         ker = dim - ranks[m]
         bett = ker - ranks.get(m + 1, 0)

@@ -372,6 +372,22 @@ def test_zero_denominator_in_input_exits_1(argv, tmp_path, capsys):
     assert "zero denominator" in err
 
 
+@pytest.mark.parametrize("document", [
+    json.dumps({"basis_dim": 4, "brackets": [
+        {"i": 1, "j": 2, "coeffs": ["0", "0", "(" * 3000 + "1" + ")" * 3000,
+                                    "0"]}]}),
+    '{"basis_dim": 4, "brackets": ' + "[" * 100000 + "]" * 100000 + "}",
+], ids=["coefficient", "json"])
+def test_deeply_nested_input_exits_1(document, tmp_path, capsys):
+    # a coefficient or a JSON file nested past the recursion limit
+    inline = tmp_path / "nested.json"
+    inline.write_text(document, encoding="utf-8")
+    code, _, err = run(capsys, "jacobi", "--inline", str(inline))
+    assert code == 1
+    assert err.startswith("engelhomology: error: ")
+    assert "nested too deeply" in err
+
+
 def test_missing_parameter_exits_3(capsys):
     code, _, err = run(capsys, "betti", "--family", "1",
                        "--complex", "tangent", "--weights", "0",

@@ -59,6 +59,20 @@ def test_pow():
     a = PV("a")
     assert a ** 3 == a * a * a
     assert a ** 0 == PC(1)
+    # repeated squaring equals repeated multiplication
+    p = a + PV("b") / 2 - 1
+    power = PC(1)
+    for n in range(12):
+        assert p ** n == power, n
+        assert a ** -n * a ** n == PC(1)
+        power = power * p
+
+
+def test_parse_large_exponent_returns_at_once():
+    assert parse_fraction("a^1000000000") == \
+        ParamPolynomial({(("a", 1000000000),): Fraction(1)})
+    assert parse_fraction("2*C144^-1000000000") == \
+        ParamPolynomial({(("C144", -1000000000),): Fraction(2)})
 
 
 # -- evaluation ------------------------------------------------------------

@@ -185,6 +185,22 @@ def test_ansatz_residuals_are_nontrivial():
     assert not broken.is_lie()
 
 
+def test_is_lie_is_checked_again_when_a_constant_changes():
+    g = family(2)
+    assert g.is_lie() and family(2).is_lie()
+    # the memo is keyed by the constants' values, not by the object
+    flag = g.c[(1, 2, 3)]
+    g.c[(1, 2, 3)] = ParamPolynomial.lift(2)
+    assert not g.is_lie()
+    g.c[(1, 2, 3)] = flag
+    assert g.is_lie()
+    # a coefficient changed in place is a changed constant too
+    flag.terms[()] = Fraction(2)
+    assert not g.is_lie()
+    assert any(g.jacobi_residuals().values())
+    assert family(2).is_lie()
+
+
 def test_families_solve_the_ansatz():
     """Substituting each family's constants into the generic residuals
     gives zero: the families really are solutions of the generic system."""

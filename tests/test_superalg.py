@@ -56,6 +56,13 @@ def test_grades_and_dimensions():
     # odd grade -> symmetric letters, even grade -> antisymmetric letters
     assert [zf(p).word_parity for p in range(5)] == [0, 1, 0, 1, 0]
     assert [yv(a).word_parity for a in range(1, 5)] == [1, 0, 1, 0]
+    # a component is the value (species, degree): it sorts, hashes and
+    # prints as one, and checks its species
+    assert sorted([yv(1), zf(3), zf(0)]) == [zf(0), zf(3), yv(1)]
+    assert hash(zf(2)) == hash((FORM, 2)) and zf(2) == GradedComponent(FORM, 2)
+    assert repr(zf(2)) == "GradedComponent(form, 2)"
+    with pytest.raises(ValueError):
+        GradedComponent("vector", 1)
 
 
 def test_element_validation():

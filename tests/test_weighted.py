@@ -39,7 +39,6 @@ from engelhomology.weighted import (
     _BoundaryBuilder,
     _cleared_matrix,
     _letter_bracket,
-    _letter_key,
     _scan_cap,
     boundary_matrix,
     chain_basis,
@@ -65,6 +64,9 @@ def test_kind_alphabets():
     ext = ComplexKind(EXTENDED).components()
     assert [(c.species, c.degree) for c in ext] == \
         [(FORM, p) for p in (0, 1, 2, 3, 4)] + [(MULTIVECTOR, 1)]
+    # components sort as (species, degree), in the order words use
+    for comps in (tan, cot, ext):
+        assert list(comps) == sorted(comps)
     with pytest.raises(ValueError):
         ComplexKind("normal")
 
@@ -125,6 +127,10 @@ def test_chain_dimensions(kind, weight):
 
 def test_basis_words_index_roundtrip():
     basis = chain_basis(EXTENDED, -2, 4)
+    # one basis per (variant, weight, m), however the kind is named
+    assert chain_basis(ComplexKind(EXTENDED), -2, 4) is basis
+    assert chain_basis("Extended", -2, 4) is basis
+    assert chain_basis(EXTENDED, -2, 3) is not basis
     assert len(basis.words) == basis.dimension == 22
     for pos, word in enumerate(basis.words):
         assert basis.index[word] == pos
@@ -132,6 +138,12 @@ def test_basis_words_index_roundtrip():
     for word in basis.words:
         assert sum(letter[0].grade for letter in word) == -2
         assert len(word) == 4
+    # letters sort by themselves: every word of the published chain spaces
+    # is sorted
+    for kind, weight in PUBLISHED:
+        for m in range(_scan_cap(weight) + 1):
+            for word in chain_basis(kind, weight, m).words:
+                assert word == tuple(sorted(word)), (kind, weight, word)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +247,7 @@ def _sorted_word(letters):
     sign = 1
     for i in range(1, len(arr)):
         j = i
-        while j > 0 and _letter_key(arr[j - 1]) > _letter_key(arr[j]):
+        while j > 0 and arr[j - 1] > arr[j]:
             if arr[j - 1][0].word_parity and arr[j][0].word_parity:
                 sign = -sign
             arr[j - 1], arr[j] = arr[j], arr[j - 1]
@@ -303,9 +315,9 @@ def _assert_contraction_is_word_loop(g, kind, weight):
     builder = _BoundaryBuilder(g, kind)
     for m, basis_m, basis_prev in _boundaries(kind, weight):
         direct = _word_columns(g, ComplexKind(kind), basis_m, basis_prev)
-        assert builder.fraction_columns(weight, m, basis_m, basis_prev) \
-            == direct, (kind, weight, m)
-        assert builder.matrix(weight, m, basis_m, basis_prev) == \
+        assert builder.fraction_columns(weight, m) == direct, \
+            (kind, weight, m)
+        assert builder.matrix(weight, m) == \
             _cleared_matrix(basis_prev.dimension, basis_m.dimension,
                             direct), (kind, weight, m)
 
@@ -373,6 +385,20 @@ def _leaves(x):
         yield x
 
 
+def _published_tensors():
+    """Every boundary tensor of the published tables, from the caches."""
+    return {(kind, weight, m): weighted._boundary_tensor(ComplexKind(kind),
+                                                         weight, m)
+            for kind, weight in PUBLISHED
+            for m, _, _ in _boundaries(kind, weight)}
+
+
+def _clear_caches():
+    weighted._TENSORS.clear()
+    weighted._LETTER_TABLES.clear()
+    weighted._BASES.clear()
+
+
 def test_tensor_cache_is_independent_of_the_algebra():
     g = FAMILIES[2].specialize({"C143": 2, "C144": 3, "C234": 4, "C244": 5})
     rebased = g.change_basis([[1, 1, 0, 0], [0, 1, 0, 0],
@@ -381,9 +407,9 @@ def test_tensor_cache_is_independent_of_the_algebra():
     cases = [(TANGENT, 2), (EXTENDED, -3)]
     runs = []
     tables = []
+    before = _published_tensors()
     for order in (algebras, algebras[::-1]):
-        weighted._TENSORS.clear()
-        weighted._LETTER_TABLES.clear()
+        _clear_caches()
         got = {}
         for g in order:
             for kind, weight in cases:
@@ -399,8 +425,11 @@ def test_tensor_cache_is_independent_of_the_algebra():
     # keyed by (variant, weight, m) alone, holding integers alone
     assert {key[:2] for key in weighted._TENSORS} == \
         {("tangent", 2), ("extended", -3)}
-    for (variant, weight, m), (F, cells) in weighted._TENSORS.items():
+    for (variant, weight, m), (rows, cols, F, cells) in \
+            weighted._TENSORS.items():
         assert type(weight) is int and type(m) is int
+        assert (rows, cols) == (chain_basis(variant, weight, m - 1).dimension,
+                                chain_basis(variant, weight, m).dimension)
         assert F.dtype == np.int64 and F.shape[1] == 24
         assert cells.dtype.kind == "i" and cells.shape[1] == 3
     # the letter table: letters and integer forms, nothing of an algebra
@@ -413,6 +442,17 @@ def test_tensor_cache_is_independent_of_the_algebra():
                 assert all(type(i) is int for i in idx)
             for _, form in terms:
                 assert form and all(type(x) is int for x in _leaves(form))
+    # rebuilt from empty caches, every tensor is bit-identical
+    _clear_caches()
+    after = _published_tensors()
+    assert after.keys() == before.keys() and len(after) == 37
+    for key, (rows, cols, F, cells) in before.items():
+        again = after[key]
+        assert again is not before[key]
+        assert again[:2] == (rows, cols), key
+        for old, new in ((F, again[2]), (cells, again[3])):
+            assert old.dtype == new.dtype and old.shape == new.shape
+            assert old.tobytes() == new.tobytes(), key
 
 
 # ---------------------------------------------------------------------------
@@ -433,16 +473,16 @@ def _contract(form, constants):
     return ParamPolynomial(terms)
 
 
-def _raw_matrix(g, kind, weight, m, basis_m, basis_prev):
+def _raw_matrix(g, kind, weight, m):
     """Reference: d_m as a PolyMatrix of the tensor's forms contracted one
     by one with `_contract`, denominators kept; cells with the same form
     share one entry object."""
-    F, cells = weighted._boundary_tensor(ComplexKind(kind), weight, m,
-                                         basis_m, basis_prev)
+    _, _, F, cells = weighted._boundary_tensor(ComplexKind(kind), weight, m)
     values = [_contract([(weighted._CONSTANTS[n], a)
                          for n, a in enumerate(row) if a], g.c)
               for row in F.tolist()]
-    M = PolyMatrix(basis_prev.dimension, basis_m.dimension)
+    M = PolyMatrix(chain_basis(kind, weight, m - 1).dimension,
+                   chain_basis(kind, weight, m).dimension)
     M.entries = {(row, col): values[f] for row, col, f in cells.tolist()
                  if values[f]}
     return M
@@ -499,9 +539,9 @@ def _assert_tensor_is_raw(g, seed):
     count = 0
     for kind, weight in PUBLISHED:
         builder = _BoundaryBuilder(g, kind)
-        for m, basis_m, basis_prev in _boundaries(kind, weight):
-            M = builder.boundary(weight, m, basis_m, basis_prev)
-            raw = _raw_matrix(g, kind, weight, m, basis_m, basis_prev)
+        for m, _, _ in _boundaries(kind, weight):
+            M = builder.boundary(weight, m)
+            raw = _raw_matrix(g, kind, weight, m)
             where = (g.label, kind, weight, m)
             # one entry per nonzero cell, each the raw entry
             values = M.polynomials()
@@ -568,9 +608,9 @@ def test_raw_matrix_ranks_like_the_cleared_one(monkeypatch):
         point = {v: Fraction(n + 2, 3) for n, v in enumerate(g.params)}
         for kind, weight in PUBLISHED:
             builder = _BoundaryBuilder(g, kind)
-            for m, basis_m, basis_prev in _boundaries(kind, weight):
-                raw = builder.boundary(weight, m, basis_m, basis_prev)
-                cleared = builder.matrix(weight, m, basis_m, basis_prev)
+            for m, _, _ in _boundaries(kind, weight):
+                raw = builder.boundary(weight, m)
+                cleared = builder.matrix(weight, m)
                 assert {(r, c) for r, c, _ in raw.entries.tolist()} == \
                     cleared.entries.keys()
                 # the same sample space, hence the same sample points
@@ -603,8 +643,8 @@ def test_raw_matrix_sampling_skips_a_zero_denominator(monkeypatch):
     for kind, weight in ((TANGENT, 1), (COTANGENT, -5), (EXTENDED, -2)):
         builder = _BoundaryBuilder(g, kind)
         declared = _BoundaryBuilder(FAMILIES[2], kind)
-        for m, basis_m, basis_prev in _boundaries(kind, weight):
-            raw = builder.boundary(weight, m, basis_m, basis_prev)
+        for m, _, _ in _boundaries(kind, weight):
+            raw = builder.boundary(weight, m)
             if raw.denominator() == 1:
                 continue
             with_denominator += 1
@@ -613,7 +653,7 @@ def test_raw_matrix_sampling_skips_a_zero_denominator(monkeypatch):
                                                monkeypatch)
                 assert all(p["C144"] for p in points)
                 assert (got, points) == _rank_and_points(
-                    declared.boundary(weight, m, basis_m, basis_prev),
+                    declared.boundary(weight, m),
                     Randomized(seed=seed), FAMILIES[2].nonzero, monkeypatch)
     assert with_denominator
 
@@ -641,8 +681,8 @@ def _report_points(kind, weight, g, monkeypatch):
     made = {}
     boundary = _BoundaryBuilder.boundary
 
-    def recording_boundary(self, weight, m, *args):
-        M = boundary(self, weight, m, *args)
+    def recording_boundary(self, weight, m):
+        M = boundary(self, weight, m)
         made[id(M)] = (m, M)
         return M
 
@@ -669,10 +709,9 @@ def _report_points(kind, weight, g, monkeypatch):
 def _full_trials(g, kind, weight, monkeypatch):
     """{m: (rank, points)} of every trial loop run to the end, on the raw
     reference matrices."""
-    return {m: _rank_and_points(_raw_matrix(g, kind, weight, m, basis_m,
-                                            basis_prev),
+    return {m: _rank_and_points(_raw_matrix(g, kind, weight, m),
                                 Randomized(), g.nonzero, monkeypatch)
-            for m, basis_m, basis_prev in _boundaries(kind, weight)}
+            for m, _, _ in _boundaries(kind, weight)}
 
 
 def test_squeeze_runs_a_prefix_of_the_trials_at_the_same_points(monkeypatch):
@@ -713,6 +752,8 @@ def test_non_lie_algebra_runs_every_trial(monkeypatch):
     g = LieAlgebra4("broken", constants)
     assert not g.is_lie()
     assert not LieAlgebra4("broken", {**constants, (3, 4, 1): 1}).is_lie()
+    # its Lie specialization s = 0, checked first, does not stand in for it
+    assert g.specialize({"s": 0}).is_lie() and not g.is_lie()
     sampled = 0
     for kind, weight in PUBLISHED:
         rep, points = _report_points(kind, weight, g, monkeypatch)
