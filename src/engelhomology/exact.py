@@ -635,6 +635,20 @@ class TensorMatrix:
                                  for m, a in zip(self._monomials, row) if a})
                 for row in self._coefficients.tolist()]
 
+    def slices(self, transpose=False):
+        """The distinct nonzero rows of the stacked integer slices
+        [A_1; A_2; ...] (of [A_1ᵀ; A_2ᵀ; ...] when `transpose`), where
+        this matrix is sum_j A_j * monomials[j] / denominator, as tuples
+        of Python integers."""
+        C = self._coefficients
+        S = np.zeros((C.shape[1], self.rows, self.cols), dtype=C.dtype)
+        r, c, f = self.entries.T
+        S[:, r, c] = C[f].T
+        if transpose:
+            S = S.transpose(0, 2, 1)
+        rows = S.reshape(-1, S.shape[2]).tolist()
+        return list({tuple(row): None for row in rows if any(row)})
+
     def _bad_point(self, assignment):
         """Raise why evaluation at `assignment` failed, as
         ParamPolynomial.evaluate does."""
@@ -741,8 +755,7 @@ def matrix_rank(M, mode, nonzero=(), trials=None):
     indices, runs only those of a Randomized mode's trials, at the
     points the full sequence draws for them; by default all run.
     """
-    nonzero = [p if isinstance(p, ParamPolynomial)
-               else ParamPolynomial.variable(p) for p in nonzero]
+    nonzero = _polynomials(nonzero)
     if isinstance(mode, SymbolicGeneric):
         r = _rank_symbolic(M)
     elif isinstance(mode, Randomized):
@@ -754,21 +767,74 @@ def matrix_rank(M, mode, nonzero=(), trials=None):
     return r, M.cols - r
 
 
+def _polynomials(nonzero):
+    """Nondegeneracy conditions as ParamPolynomials; a name stands for
+    its parameter."""
+    return [p if isinstance(p, ParamPolynomial)
+            else ParamPolynomial.variable(p) for p in nonzero]
+
+
 def kernel_basis(M, mode):
     """Exact rational kernel basis; Specialized mode only."""
     if not isinstance(mode, Specialized):
         raise TypeError("kernel_basis requires Specialized mode")
-    work, pivots = row_reduce(M.tensor().rational_rows(mode.assignment))
+    return _kernel(*row_reduce(M.tensor().rational_rows(mode.assignment)),
+                   M.cols)
+
+
+def _kernel(work, pivots, ncols):
+    """The kernel basis read off row_reduce's (work, pivots): for each
+    free column, the vector that is 1 there and solves every row."""
     basis = []
-    for fc in range(M.cols):
+    for fc in range(ncols):
         if fc in pivots:
             continue
-        v = [Fraction(0)] * M.cols
+        v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for row, pc in zip(work, pivots):
             v[pc] = Fraction(-row[fc], row[pc])
         basis.append(tuple(v))
     return basis
+
+
+# -- degree-0 (co)cycle certificates ---------------------------------------
+
+
+def constant_kernel(M, transpose=False):
+    """A basis of the constant vectors v with M·v = 0 identically in the
+    parameters (vᵀ·M = 0 when `transpose`), as tuples of Fractions.
+
+    M = sum_j A_j * mu_j / D over distinct Laurent monomials mu_j, which
+    are linearly independent, so M·v vanishes exactly when every
+    A_j·v does: v spans the common kernel of the slices, taken exactly.
+    """
+    M = M.tensor()
+    return _kernel(*row_reduce(M.slices(transpose)),
+                   M.rows if transpose else M.cols)
+
+
+def certificate_rank(N, vectors, nonzero=(), transpose=False):
+    """A proven lower bound of the generic rank of [N | V] ([Nᵀ | V] when
+    `transpose`), the columns of V the constant `vectors`: its rank mod
+    p at the point where trial 1 of Randomized() ranks N.  None when a
+    vector has a denominator that is not a unit mod p.
+
+    A minor that is nonzero mod p at a point where no denominator
+    vanishes is nonzero as a rational function.
+    """
+    p = _PRIME
+    try:
+        V = [[x.numerator * pow(x.denominator, -1, p) % p for x in v]
+             for v in vectors]
+    except ValueError:
+        return None
+    N = N.tensor()
+    point = next(_sample_points(N, Randomized(), _polynomials(nonzero)))
+    A = N.modular(point)
+    if transpose:
+        A = A.T
+    V = np.array(V, dtype=np.int64).reshape(len(vectors), A.shape[0])
+    return _rank_mod_p(np.hstack([A, V.T]))
 
 
 # -- symbolic (Bareiss) ----------------------------------------------------
@@ -820,32 +886,17 @@ def _rank_symbolic(M):
 
 
 def _rank_randomized(M, mode, nonzero, trials=None):
-    # rejection sampling would never find a point off a zero polynomial
-    for p in nonzero:
-        if p.is_zero():
-            raise DegenerateDenominator(
-                "nondegeneracy polynomial is identically zero")
-    params = M.parameters()
-    if not params:
+    points = _sample_points(M, mode, nonzero)
+    if not M.parameters():
         # every trial would eliminate the same matrix; take the exact rank
         return _rank_specialized(M, Specialized({}), ())
-    params = sorted(set(params).union(*(p.parameters() for p in nonzero)))
-    # a point must not zero a nondegeneracy polynomial, nor a denominator
-    # of an entry: a nonzero monomial stays nonzero mod p in _COEFF_RANGE
-    guards = nonzero + [M.denominator()]
     if trials is None:
         trials = range(mode.trials)
-    rng = random.Random(mode.seed)
-    lo, hi = _COEFF_RANGE
     best = 0
     limit = min(M.rows, M.cols)
     # the points of earlier trials are drawn, not ranked, so that each
     # trial ranks at the same point whichever trials run
-    for trial in range(trials.stop):
-        while True:
-            point = {v: rng.randint(lo, hi) for v in params}
-            if all(p.evaluate(point) != 0 for p in guards):
-                break
+    for trial, point in zip(range(trials.stop), points):
         if trial < trials.start:
             continue
         r = _rank_mod_p(M.modular(point))
@@ -854,6 +905,33 @@ def _rank_randomized(M, mode, nonzero, trials=None):
         if best == limit:
             break
     return best
+
+
+def _sample_points(M, mode, nonzero):
+    """The sample points of a Randomized mode's trials on M, in order and
+    without end.  A point must not zero a nondegeneracy polynomial, nor a
+    denominator of an entry: a nonzero monomial stays nonzero mod p in
+    _COEFF_RANGE."""
+    # rejection sampling would never find a point off a zero polynomial
+    for p in nonzero:
+        if p.is_zero():
+            raise DegenerateDenominator(
+                "nondegeneracy polynomial is identically zero")
+    params = sorted(set(M.parameters()).union(
+        *(p.parameters() for p in nonzero)))
+    guards = nonzero + [M.denominator()]
+    rng = random.Random(mode.seed)
+    lo, hi = _COEFF_RANGE
+
+    # a plain function, not a generator, so that the check above runs
+    # at the call, before any point is drawn
+    def draw():
+        while True:
+            point = {v: rng.randint(lo, hi) for v in params}
+            if all(p.evaluate(point) != 0 for p in guards):
+                return point
+
+    return iter(draw, None)
 
 
 def _distinct(polys):

@@ -42,8 +42,10 @@ from .exact import (
     Specialized,
     SymbolicGeneric,
     TensorMatrix,
+    certificate_rank,
     coefficient_table,
     common_denominator,
+    constant_kernel,
     matrix_rank,
 )
 from .liealg import LieAlgebra4
@@ -448,12 +450,18 @@ def boundary_matrix(kind, weight, m, algebra):
 
 
 class BettiReport:
-    """Rows (m, SpaD, KerD, Bett) of one weighted complex."""
+    """Rows (m, SpaD, KerD, Bett) of one weighted complex.
+
+    `routes` maps each m to how the rank of d_m was obtained (see
+    homology_report); no output format prints it.
+    """
 
     __slots__ = ("kind", "algebra_label", "source", "ident", "params",
-                 "weight", "mode", "rows", "euler", "specialization")
+                 "weight", "mode", "rows", "euler", "specialization",
+                 "routes")
 
-    def __init__(self, kind, algebra, weight, mode, rows, specialization=None):
+    def __init__(self, kind, algebra, weight, mode, rows, specialization=None,
+                 routes=None):
         self.kind = _as_kind(kind)
         self.algebra_label = algebra.label
         catalogue = algebra.catalogue
@@ -469,6 +477,7 @@ class BettiReport:
         self.rows = [tuple(r) for r in rows]
         self.euler = sum((-1) ** m * dim for m, dim, _, _ in self.rows)
         self.specialization = dict(specialization) if specialization else None
+        self.routes = dict(routes) if routes else {}
 
     def column(self, name):
         pos = {"m": 0, "dim": 1, "ker": 2, "betti": 3}[name]
@@ -526,13 +535,22 @@ def _scan_cap(weight):
 def homology_report(kind, weight, algebra, mode=None, specialization=None):
     """Betti table of one weighted complex under the given rank mode.
 
-    In Randomized mode over a Lie algebra, d_m d_{m+1} = 0 bounds the
-    generic rank of d_m by dim C_m - rank d_{m+1} and by
-    dim C_{m-1} - rank d_{m-1}.  Each trial's rank is a lower bound of
-    the generic rank, so a rank that meets the bound from its
-    neighbours' ranks is the generic rank: every d_m runs its first
-    trial, and a later trial runs only for a rank still below its bound.
-    Any other algebra runs every trial, as `matrix_rank` does.
+    Over a Lie algebra, d_m d_{m+1} = 0 bounds the generic rank of d_m by
+    dim C_m - rank d_{m+1} and by dim C_{m-1} - rank d_{m-1}, and a rank
+    mod p at a point where no denominator vanishes is a lower bound of
+    it: where a lower bound meets the bound from its neighbours' lower
+    bounds, the generic rank is proven (the squeeze).
+
+    - Randomized: every d_m runs its first trial, and a later trial runs
+      only for a rank still below its bound.
+    - SymbolicGeneric: see _proven_ranks; only the ranks that the
+      squeeze and the constant (co)cycles leave open run Bareiss.
+
+    Any other algebra runs every trial, and Bareiss on every rank.  The
+    report's `routes` say for each m how its rank was obtained:
+    `exact` (an exact integer elimination of a matrix without
+    parameters, or a map into the zero space), `squeeze`, `cycles`,
+    `bareiss`, or `sampled` (a randomized lower bound, not proven).
     """
     kind = _as_kind(kind)
     if mode is None:
@@ -543,32 +561,42 @@ def homology_report(kind, weight, algebra, mode=None, specialization=None):
     dims = {m: chain_basis(kind, weight, m).dimension
             for m in range(-1, _scan_cap(weight) + 1)}
     ranks = {}
+    routes = {}
     matrices = {}
     for m, dim in dims.items():
         if m < 0 or dim == 0:
             continue
         if dims[m - 1] == 0:
-            ranks[m] = 0
-        elif isinstance(mode, SymbolicGeneric):
-            matrices[m] = builder.matrix(weight, m)
+            ranks[m], routes[m] = 0, "exact"
         else:
             matrices[m] = builder.boundary(weight, m)
-    # the sampled ranks; a matrix without parameters is ranked exactly
     sampled = [m for m, M in matrices.items() if M.parameters()] \
-        if isinstance(mode, Randomized) and mode.trials > 1 else []
-    squeeze = bool(sampled) and algebra.is_lie()
-    first = range(1) if squeeze else None
-    for m, M in matrices.items():
-        ranks[m] = matrix_rank(M, mode, algebra.nonzero, first)[0]
-    for trial in range(1, mode.trials if squeeze else 1):
+        if isinstance(mode, Randomized) else []
+    lie = bool(sampled or isinstance(mode, SymbolicGeneric)) and \
+        algebra.is_lie()
+    if isinstance(mode, SymbolicGeneric):
+        if lie:
+            proven = _proven_ranks(builder, weight, matrices, algebra.nonzero)
+        else:
+            proven = {m: (matrix_rank(builder.matrix(weight, m), mode)[0],
+                          "bareiss") for m in matrices}
+        for m, (rank, route) in proven.items():
+            ranks[m], routes[m] = rank, route
+    else:
+        squeeze = lie and mode.trials > 1
+        first = range(1) if squeeze else None
+        for m, M in matrices.items():
+            ranks[m] = matrix_rank(M, mode, algebra.nonzero, first)[0]
+            routes[m] = "sampled" if m in sampled else "exact"
+        for trial in range(1, mode.trials if squeeze else 1):
+            for m in sampled:
+                if ranks[m] < _squeeze_bound(matrices[m], m, ranks):
+                    r, _ = matrix_rank(matrices[m], mode, algebra.nonzero,
+                                       range(trial, trial + 1))
+                    ranks[m] = max(ranks[m], r)
         for m in sampled:
-            M = matrices[m]
-            bound = min(M.cols - ranks.get(m + 1, 0),
-                        M.rows - ranks.get(m - 1, 0))
-            if ranks[m] < bound:
-                r, _ = matrix_rank(M, mode, algebra.nonzero,
-                                   range(trial, trial + 1))
-                ranks[m] = max(ranks[m], r)
+            if lie and ranks[m] == _squeeze_bound(matrices[m], m, ranks):
+                routes[m] = "squeeze"
     rows = []
     for m, dim in dims.items():
         if m < 0 or dim == 0:
@@ -577,7 +605,75 @@ def homology_report(kind, weight, algebra, mode=None, specialization=None):
         bett = ker - ranks.get(m + 1, 0)
         rows.append((m, dim, ker, bett))
     return BettiReport(kind, algebra, weight, mode, rows,
-                       specialization=specialization)
+                       specialization=specialization, routes=routes)
+
+
+def _squeeze_bound(M, m, low):
+    """The d²=0 bound on the generic rank of M = d_m from lower bounds
+    `low` of its neighbours' ranks (a missing one counts as 0)."""
+    return min(M.cols - low.get(m + 1, 0), M.rows - low.get(m - 1, 0))
+
+
+def _proven_ranks(builder, weight, matrices, nonzero):
+    """{m: (generic rank of d_m, route)} over a Lie algebra, every rank
+    proven, from the raw matrices (a cleared matrix has its columns
+    scaled by monomials, so its kernel is not d_m's).
+
+    1. The lower bound: trial 1 of Randomized(), exact for a matrix
+       without parameters.
+    2. The squeeze.
+    3. For a rank still open, constant cycles V (d_m·V = 0 identically)
+       give r_m <= dim C_m - rank[d_{m+1} | V], and constant cocycles U
+       (Uᵀ·d_m = 0) give r_m <= dim C_{m-1} - rank[d_{m-1}ᵀ | U], each
+       rank taken mod p at one point as a lower bound.
+    4. Bareiss on the cleared matrix of each rank still open, smallest
+       first; an exact rank tightens its neighbours' squeeze.
+    """
+    low = {m: matrix_rank(M, Randomized(), nonzero, range(1))[0]
+           for m, M in matrices.items()}
+    routes = {m: "exact" for m, M in matrices.items() if not M.parameters()}
+    high = {m: low[m] if m in routes else min(M.rows, M.cols)
+            for m, M in matrices.items()}
+
+    def tighten(m, bound, route):
+        high[m] = min(high[m], bound)
+        if low[m] == high[m] and m not in routes:
+            routes[m] = route
+
+    for m, M in matrices.items():
+        tighten(m, _squeeze_bound(M, m, low), "squeeze")
+    for m in matrices:
+        for transpose in (False, True):
+            if low[m] < high[m]:
+                tighten(m, _certificate_bound(matrices, m, nonzero,
+                                              transpose), "cycles")
+    for m in sorted(matrices, key=lambda m: matrices[m].rows *
+                    matrices[m].cols):
+        if low[m] == high[m]:
+            continue
+        r = matrix_rank(builder.matrix(weight, m), SymbolicGeneric())[0]
+        assert low[m] <= r <= high[m], (m, low[m], r, high[m])
+        low[m] = high[m] = r
+        routes[m] = "bareiss"
+        for n in (m - 1, m + 1):
+            if n in matrices:
+                tighten(n, _squeeze_bound(matrices[n], n, low), "squeeze")
+    return {m: (low[m], routes[m]) for m in matrices}
+
+
+def _certificate_bound(matrices, m, nonzero, transpose):
+    """The bound on the generic rank of d_m from its constant cycles
+    (cocycles when `transpose`) and d_{m+1} (d_{m-1}ᵀ)."""
+    M = matrices[m]
+    dim = M.rows if transpose else M.cols
+    vectors = constant_kernel(M, transpose)
+    if not vectors:
+        return dim
+    N = matrices.get(m - 1 if transpose else m + 1)
+    if N is None:
+        return dim - len(vectors)
+    r = certificate_rank(N, vectors, nonzero, transpose)
+    return dim if r is None else dim - r
 
 
 def strata_report(kind, weight, m, algebra, assignment):

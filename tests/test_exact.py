@@ -377,6 +377,35 @@ def test_kernel_basis():
     assert 3 * v[0] + v[1] == 0 and v[2] == 0 and any(x != 0 for x in v)
 
 
+def test_constant_kernel_is_the_common_kernel_of_the_slices():
+    a, b = PV("a"), PV("b") ** -1
+    # M = [[a, a], [1, 1]]: (1, -1) is a constant cycle, and no nonzero
+    # constant row u has u·M = 0 for every a
+    M = PolyMatrix.from_rows([[a, a], [PC(1), PC(1)]])
+    assert exact.constant_kernel(M) == [(Fraction(-1), Fraction(1))]
+    assert exact.constant_kernel(M, transpose=True) == []
+    # denominators: b and 2b cancel against (2, -1)
+    N = PolyMatrix.from_rows([[b, 2 * b, PC(0)]])
+    assert exact.constant_kernel(N) == [
+        (Fraction(-2), Fraction(1), Fraction(0)),
+        (Fraction(0), Fraction(0), Fraction(1))]
+    assert exact.constant_kernel(PolyMatrix(2, 1), transpose=True) == [
+        (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+
+
+def test_certificate_rank_is_a_rank_mod_p_at_trial_1():
+    a = PV("a")
+    N = PolyMatrix.from_rows([[a, PC(0)], [PC(0), PC(0)]])
+    assert exact.certificate_rank(N, []) == 1
+    assert exact.certificate_rank(N, [(Fraction(3), Fraction(0))]) == 1
+    assert exact.certificate_rank(N, [(Fraction(0), Fraction(1, 3))]) == 2
+    assert exact.certificate_rank(N.transpose(), [(0, 1)], transpose=True) \
+        == 2
+    # a denominator divisible by p gives no bound
+    assert exact.certificate_rank(
+        N, [(Fraction(0), Fraction(1, exact._PRIME))]) is None
+
+
 def test_kernel_dim_matches_rank():
     M = _example_matrix()
     mode = Specialized({"a": 4, "b": 9})

@@ -48,12 +48,14 @@ def test_tracer_sees_every_rank_layer_of_the_reports():
     # the matrix each rank layer receives
     g = family(1)
     point = {p: 2 for p in g.params}
-    reports = {"randomized": Randomized(), "specialized": Specialized(point),
-               "symbolic": SymbolicGeneric()}
+    # the symbolic report is one whose d_3 neither the squeeze nor a
+    # constant (co)cycle proves, so that it reaches Bareiss
+    reports = {"randomized": ("tangent", 0, g, Randomized()),
+               "specialized": ("tangent", 0, g, Specialized(point)),
+               "symbolic": ("extended", -2, family(3), SymbolicGeneric())}
     with spans.Tracer() as tracer:
-        for ident, mode in reports.items():
-            tracer.run_item(ident, lambda mode=mode: homology_report(
-                "tangent", 0, g, mode))
+        for ident, args in reports.items():
+            tracer.run_item(ident, lambda args=args: homology_report(*args))
     names = {ident: {s[0] for s in tracer.spans if s[4] == ident}
              for ident in reports}
     assert "exact.rank_modp" in names["randomized"]

@@ -767,6 +767,139 @@ def test_non_lie_algebra_runs_every_trial(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# symbolic ranks: the squeeze, constant (co)cycles, and Bareiss on the rest
+
+# the tables of the benchmark's symbolic workload
+SYMBOLIC_TABLES = [(kind, weight, fam)
+                   for kind, weight in ((TANGENT, 0), (COTANGENT, -5),
+                                        (COTANGENT, -6), (EXTENDED, -2))
+                   for fam in range(1, 7)
+                   if (kind, weight, fam) not in ((COTANGENT, -6, 2),
+                                                  (EXTENDED, -2, 2))]
+
+
+def _counting_bareiss(monkeypatch, bareiss=exact._rank_symbolic):
+    calls = []
+
+    def counting(M):
+        calls.append((M.rows, M.cols))
+        return bareiss(M)
+
+    monkeypatch.setattr(exact, "_rank_symbolic", counting)
+    return calls
+
+
+def test_non_lie_symbolic_runs_bareiss_on_every_rank(monkeypatch):
+    g = LieAlgebra4("broken", {(1, 2, 3): 1, (1, 3, 4): 1,
+                               (3, 4, 1): ParamPolynomial.variable("s")})
+    assert not g.is_lie()
+    # the test is about which ranks reach Bareiss: a randomized rank of
+    # the cleared matrix stands in for it, since Bareiss on all of them
+    # takes seconds
+    calls = _counting_bareiss(monkeypatch, lambda M: matrix_rank(
+        M, Randomized(), g.nonzero)[0])
+    for kind, weight in PUBLISHED:
+        del calls[:]
+        rep = homology_report(kind, weight, g, SymbolicGeneric())
+        ranked = [m for m, _, _ in _boundaries(kind, weight)]
+        assert [m for m, route in rep.routes.items()
+                if route == "bareiss"] == ranked, (kind, weight)
+        # the other d_m map into the zero space
+        assert set(rep.routes.values()) <= {"bareiss", "exact"}
+        assert len(calls) == len(ranked)
+        assert rep.rows == homology_report(kind, weight, g).rows
+
+
+def test_proven_symbolic_ranks_equal_bareiss(monkeypatch):
+    seen = {}
+    for kind, weight, fam in SYMBOLIC_TABLES:
+        g = FAMILIES[fam]
+        calls = _counting_bareiss(monkeypatch)
+        rep = homology_report(kind, weight, g, SymbolicGeneric())
+        assert len(calls) == list(rep.routes.values()).count("bareiss")
+        monkeypatch.undo()
+        ranks = {m: dim - ker for m, dim, ker, _ in rep.rows}
+        builder = _BoundaryBuilder(g, kind)
+        for m, _, _ in _boundaries(kind, weight):
+            route = rep.routes[m]
+            seen[route] = seen.get(route, 0) + 1
+            assert ranks[m] == exact._rank_symbolic(
+                builder.matrix(weight, m)), (kind, weight, fam, m, route)
+    assert {"squeeze", "cycles", "bareiss"} <= seen.keys()
+    assert sum(seen.values()) == 93 and seen["bareiss"] <= 8
+
+
+def test_constant_cycles_and_cocycles_vanish_exactly():
+    found = 0
+    for kind, weight, fam in SYMBOLIC_TABLES:
+        builder = _BoundaryBuilder(FAMILIES[fam], kind)
+        for m, _, _ in _boundaries(kind, weight):
+            raw = builder.boundary(weight, m)
+            d = PolyMatrix(raw.rows, raw.cols)
+            d.entries = {(r, c): v for c, col in
+                         builder.fraction_columns(weight, m).items()
+                         for r, v in col.items()}
+            cycles = exact.constant_kernel(raw)
+            cocycles = exact.constant_kernel(raw, transpose=True)
+            if cycles:
+                V = PolyMatrix.from_rows([list(x) for x in zip(*cycles)])
+                assert d.matmul(V).is_zero(), (kind, weight, fam, m)
+            if cocycles:
+                U = PolyMatrix.from_rows([list(u) for u in cocycles])
+                assert U.matmul(d).is_zero(), (kind, weight, fam, m)
+            found += len(cycles) + len(cocycles)
+            if not raw.entries.size:
+                continue
+            # a corrupted cycle fails the check
+            c = int(raw.entries[0, 1])
+            bad = [Fraction(int(i == c)) for i in range(raw.cols)]
+            if cycles:
+                bad = [x + y for x, y in zip(cycles[0], bad)]
+            assert not d.matmul(PolyMatrix.from_rows(
+                [[x] for x in bad])).is_zero()
+    assert found
+
+
+def test_slices_of_python_integer_coefficients():
+    M = _BoundaryBuilder(FAMILIES[1], COTANGENT).boundary(-6, 3)
+    den = M._denominator
+    wide = TensorMatrix(M.rows, M.cols, M.entries,
+                        M._coefficients.astype(object) * 2**70,
+                        M._monomials, den)
+    narrow = M.slices(transpose=True)
+    assert M._coefficients.dtype == np.int64 and narrow
+    assert wide.slices(transpose=True) == \
+        [tuple(x * 2**70 for x in row) for row in narrow]
+    assert exact.constant_kernel(wide, transpose=True) == \
+        exact.constant_kernel(M, transpose=True)
+
+
+def test_symbolic_squeeze_needs_no_bareiss_on_family_2_tangent_2(monkeypatch):
+    # every Betti number is 0, so the squeeze closes every rank
+    calls = _counting_bareiss(monkeypatch)
+    g = FAMILIES[2]
+    rep = homology_report(TANGENT, 2, g, SymbolicGeneric())
+    assert calls == []
+    assert rep.rows == homology_report(TANGENT, 2, g).rows
+    assert set(rep.routes.values()) <= {"exact", "squeeze"}
+
+
+def test_numeric_routes():
+    # tangent 1 of family 2 has every Betti number 0: the squeeze proves
+    # each sampled rank; cotangent -6 of family 1 has ranks it leaves open
+    rep = homology_report(TANGENT, 1, FAMILIES[2])
+    assert set(rep.routes) == {m for m, _, _, _ in rep.rows}
+    assert set(rep.routes.values()) == {"exact", "squeeze"}
+    g = FAMILIES[1]
+    rep = homology_report(COTANGENT, -6, g)
+    assert {"exact", "squeeze", "sampled"} >= set(rep.routes.values()) \
+        >= {"exact", "sampled"}
+    point = {p: 2 for p in g.params}
+    rep = homology_report(COTANGENT, -6, g, Specialized(point))
+    assert set(rep.routes.values()) == {"exact"}
+
+
+# ---------------------------------------------------------------------------
 # generic reports: the frozen reference tables
 
 TANGENT_TABLE = {
