@@ -106,12 +106,20 @@ def _load_inline(path):
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise ValueError("inline algebra must be a JSON object")
     if doc.get("basis_dim") != 4:
         raise ValueError("inline algebra must have basis_dim 4")
     constants = {}
-    for entry in doc.get("brackets", []):
+    seen = set()
+    for entry in _json_list(doc.get("brackets", []), "brackets"):
+        if not isinstance(entry, dict):
+            raise ValueError("each bracket entry must be a JSON object")
         i, j = int(entry["i"]), int(entry["j"])
-        coeffs = entry["coeffs"]
+        if (i, j) in seen:
+            raise ValueError(f"bracket ({i},{j}) is given twice")
+        seen.add((i, j))
+        coeffs = _json_list(entry["coeffs"], f"bracket ({i},{j}) coeffs")
         if len(coeffs) != 4:
             raise ValueError(f"bracket ({i},{j}) needs 4 coefficients")
         for k, text in enumerate(coeffs, start=1):
@@ -122,8 +130,18 @@ def _load_inline(path):
                                  f"{text!r}") from None
             if not v.is_zero():
                 constants[(i, j, k)] = v
-    label = Path(path).stem
-    return LieAlgebra4(label, constants, tuple(doc.get("nonzero", ())))
+    nonzero = _json_list(doc.get("nonzero", []), "nonzero")
+    algebra = LieAlgebra4(Path(path).stem, constants, tuple(nonzero))
+    # str: a JSON number is not a parameter name either, and sorts with
+    # the names in the message
+    _check_names("nonzero", [str(name) for name in nonzero], algebra)
+    return algebra
+
+
+def _json_list(value, what):
+    if not isinstance(value, list):
+        raise ValueError(f"inline algebra: {what} must be a JSON list")
+    return value
 
 
 def _add_selector(sub, with_type=True):

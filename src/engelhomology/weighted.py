@@ -535,21 +535,10 @@ def _scan_cap(weight):
 def homology_report(kind, weight, algebra, mode=None, specialization=None):
     """Betti table of one weighted complex under the given rank mode.
 
-    Over a Lie algebra, d_m d_{m+1} = 0 bounds the generic rank of d_m by
-    dim C_m - rank d_{m+1} and by dim C_{m-1} - rank d_{m-1}, and a rank
-    mod p at a point where no denominator vanishes is a lower bound of
-    it: where a lower bound meets the bound from its neighbours' lower
-    bounds, the generic rank is proven (the squeeze).
-
-    - Randomized: every d_m runs its first trial, and a later trial runs
-      only for a rank still below its bound.
-    - SymbolicGeneric: see _proven_ranks; only the ranks that the
-      squeeze and the constant (co)cycles leave open run Bareiss.
-
-    Any other algebra runs every trial, and Bareiss on every rank.  The
-    report's `routes` say for each m how its rank was obtained:
-    `exact` (an exact integer elimination of a matrix without
-    parameters, or a map into the zero space), `squeeze`, `cycles`,
+    Every rank comes from _ranks.  The report's `routes` say for each m
+    how the rank of d_m was obtained: `exact` (an exact integer
+    elimination of a matrix without parameters or at a Specialized
+    point, or a map into the zero space), `squeeze`, `cycles`,
     `bareiss`, or `sampled` (a randomized lower bound, not proven).
     """
     kind = _as_kind(kind)
@@ -560,105 +549,90 @@ def homology_report(kind, weight, algebra, mode=None, specialization=None):
     builder = _BoundaryBuilder(algebra, kind)
     dims = {m: chain_basis(kind, weight, m).dimension
             for m in range(-1, _scan_cap(weight) + 1)}
-    ranks = {}
-    routes = {}
-    matrices = {}
-    for m, dim in dims.items():
-        if m < 0 or dim == 0:
-            continue
-        if dims[m - 1] == 0:
-            ranks[m], routes[m] = 0, "exact"
-        else:
-            matrices[m] = builder.boundary(weight, m)
-    sampled = [m for m, M in matrices.items() if M.parameters()] \
-        if isinstance(mode, Randomized) else []
-    lie = bool(sampled or isinstance(mode, SymbolicGeneric)) and \
-        algebra.is_lie()
-    if isinstance(mode, SymbolicGeneric):
-        if lie:
-            proven = _proven_ranks(builder, weight, matrices, algebra.nonzero)
-        else:
-            proven = {m: (matrix_rank(builder.matrix(weight, m), mode)[0],
-                          "bareiss") for m in matrices}
-        for m, (rank, route) in proven.items():
-            ranks[m], routes[m] = rank, route
-    else:
-        squeeze = lie and mode.trials > 1
-        first = range(1) if squeeze else None
-        for m, M in matrices.items():
-            ranks[m] = matrix_rank(M, mode, algebra.nonzero, first)[0]
-            routes[m] = "sampled" if m in sampled else "exact"
-        for trial in range(1, mode.trials if squeeze else 1):
-            for m in sampled:
-                if ranks[m] < _squeeze_bound(matrices[m], m, ranks):
-                    r, _ = matrix_rank(matrices[m], mode, algebra.nonzero,
-                                       range(trial, trial + 1))
-                    ranks[m] = max(ranks[m], r)
-        for m in sampled:
-            if lie and ranks[m] == _squeeze_bound(matrices[m], m, ranks):
-                routes[m] = "squeeze"
+    matrices = {m: builder.boundary(weight, m) for m, dim in dims.items()
+                if m >= 0 and dim and dims[m - 1]}
+    ranks, routes = _ranks(builder, weight, matrices, mode, algebra)
     rows = []
     for m, dim in dims.items():
         if m < 0 or dim == 0:
             continue
-        ker = dim - ranks[m]
-        bett = ker - ranks.get(m + 1, 0)
-        rows.append((m, dim, ker, bett))
+        ker = dim - ranks.get(m, 0)
+        rows.append((m, dim, ker, ker - ranks.get(m + 1, 0)))
+    # a d_m into the zero space has rank 0 exactly
+    routes = {m: routes.get(m, "exact") for m, _, _, _ in rows}
     return BettiReport(kind, algebra, weight, mode, rows,
                        specialization=specialization, routes=routes)
 
 
-def _squeeze_bound(M, m, low):
-    """The d²=0 bound on the generic rank of M = d_m from lower bounds
-    `low` of its neighbours' ranks (a missing one counts as 0)."""
-    return min(M.cols - low.get(m + 1, 0), M.rows - low.get(m - 1, 0))
+def _ranks(builder, weight, matrices, mode, algebra):
+    """({m: rank of d_m}, {m: route}) for the raw `matrices` under
+    `mode`, from a proven lower bound `low` and upper bound `high` of
+    each rank, tightened until they meet (a cleared matrix has its
+    columns scaled by monomials, so its kernel is not d_m's).
 
-
-def _proven_ranks(builder, weight, matrices, nonzero):
-    """{m: (generic rank of d_m, route)} over a Lie algebra, every rank
-    proven, from the raw matrices (a cleared matrix has its columns
-    scaled by monomials, so its kernel is not d_m's).
-
-    1. The lower bound: trial 1 of Randomized(), exact for a matrix
-       without parameters.
-    2. The squeeze.
-    3. For a rank still open, constant cycles V (d_m·V = 0 identically)
-       give r_m <= dim C_m - rank[d_{m+1} | V], and constant cocycles U
-       (Uᵀ·d_m = 0) give r_m <= dim C_{m-1} - rank[d_{m-1}ᵀ | U], each
-       rank taken mod p at one point as a lower bound.
-    4. Bareiss on the cleared matrix of each rank still open, smallest
-       first; an exact rank tightens its neighbours' squeeze.
+    1. `low` is trial 1 of the mode's sampling, Randomized() standing in
+       for SymbolicGeneric: a rank mod p at a point where no denominator
+       vanishes is a lower bound of the generic rank, and it is exact
+       for a d_m without parameters and at a Specialized point.  `high`
+       starts at min(rows, cols).
+    2. Over a Lie algebra, d_m d_{m+1} = 0 bounds r_m by dim C_m -
+       r_{m+1} and dim C_{m-1} - r_{m-1} (the squeeze); it tightens
+       d_{m-1}, d_m and d_{m+1} again whenever low[m] rises.
+    3. Randomized: each rank still open runs the mode's other trials in
+       one call, so its points are drawn once; what stays open is
+       `sampled`.
+    4. SymbolicGeneric: over a Lie algebra, constant cycles V (d_m·V = 0
+       identically) give r_m <= dim C_m - rank[d_{m+1} | V], and
+       constant cocycles U (Uᵀ·d_m = 0) give r_m <= dim C_{m-1} -
+       rank[d_{m-1}ᵀ | U], each rank taken mod p at one point as a lower
+       bound.  Then Bareiss ranks the cleared matrix of each d_m not yet
+       proven, smallest first.
     """
-    low = {m: matrix_rank(M, Randomized(), nonzero, range(1))[0]
+    nonzero = algebra.nonzero
+    symbolic = isinstance(mode, SymbolicGeneric)
+    sampling = Randomized() if symbolic else mode
+    low = {m: matrix_rank(M, sampling, nonzero, range(1))[0]
            for m, M in matrices.items()}
-    routes = {m: "exact" for m, M in matrices.items() if not M.parameters()}
+    routes = {m: "exact" for m, M in matrices.items()
+              if not M.parameters() or isinstance(mode, Specialized)}
     high = {m: low[m] if m in routes else min(M.rows, M.cols)
             for m, M in matrices.items()}
+    lie = len(routes) < len(matrices) and algebra.is_lie()
 
     def tighten(m, bound, route):
         high[m] = min(high[m], bound)
         if low[m] == high[m] and m not in routes:
             routes[m] = route
 
-    for m, M in matrices.items():
-        tighten(m, _squeeze_bound(M, m, low), "squeeze")
+    def squeeze(around):
+        for m in around:
+            if lie and m in matrices:
+                M = matrices[m]
+                tighten(m, min(M.cols - low.get(m + 1, 0),
+                               M.rows - low.get(m - 1, 0)), "squeeze")
+
+    squeeze(matrices)
+    if isinstance(mode, Randomized) and mode.trials > 1:
+        for m, M in matrices.items():
+            if low[m] < high[m]:
+                r = matrix_rank(M, mode, nonzero, range(1, mode.trials))[0]
+                low[m] = max(low[m], r)
+                squeeze((m - 1, m, m + 1))
     for m in matrices:
         for transpose in (False, True):
-            if low[m] < high[m]:
+            if symbolic and lie and low[m] < high[m]:
                 tighten(m, _certificate_bound(matrices, m, nonzero,
                                               transpose), "cycles")
     for m in sorted(matrices, key=lambda m: matrices[m].rows *
                     matrices[m].cols):
-        if low[m] == high[m]:
+        if not symbolic or m in routes:
             continue
-        r = matrix_rank(builder.matrix(weight, m), SymbolicGeneric())[0]
+        r = matrix_rank(builder.matrix(weight, m), mode)[0]
         assert low[m] <= r <= high[m], (m, low[m], r, high[m])
         low[m] = high[m] = r
         routes[m] = "bareiss"
-        for n in (m - 1, m + 1):
-            if n in matrices:
-                tighten(n, _squeeze_bound(matrices[n], n, low), "squeeze")
-    return {m: (low[m], routes[m]) for m in matrices}
+        squeeze((m - 1, m + 1))
+    return low, {m: routes.get(m, "sampled") for m in matrices}
 
 
 def _certificate_bound(matrices, m, nonzero, transpose):

@@ -388,6 +388,34 @@ def test_deeply_nested_input_exits_1(document, tmp_path, capsys):
     assert "nested too deeply" in err
 
 
+@pytest.mark.parametrize("document, message", [
+    ([{"i": 1, "j": 2, "coeffs": ["1", "0", "0", "0"]}],
+     "inline algebra must be a JSON object"),
+    ({"basis_dim": 4, "brackets": [[1, 2, ["1", "0", "0", "0"]]]},
+     "each bracket entry must be a JSON object"),
+    ({"basis_dim": 4, "brackets": [{"i": 1, "j": 2, "coeffs": "1000"}]},
+     "inline algebra: bracket (1,2) coeffs must be a JSON list"),
+    ({"basis_dim": 4, "brackets": [], "nonzero": "C144"},
+     "inline algebra: nonzero must be a JSON list"),
+    ({"basis_dim": 4, "brackets": [
+        {"i": 1, "j": 2, "coeffs": ["a", "0", "0", "0"]},
+        {"i": 1, "j": 2, "coeffs": ["0", "1", "0", "0"]}]},
+     "bracket (1,2) is given twice"),
+    ({"basis_dim": 4, "brackets": [
+        {"i": 1, "j": 2, "coeffs": ["a", "0", "0", "0"]}],
+      "nonzero": ["a", "b"]},
+     "nonzero: unknown parameter b of bad (its parameters: a)"),
+], ids=["not-object", "entry-not-object", "coeffs-not-list",
+        "nonzero-not-list", "repeated-entry", "unknown-nonzero"])
+def test_malformed_inline_algebra_exits_1(document, message, tmp_path,
+                                          capsys):
+    inline = tmp_path / "bad.json"
+    inline.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run(capsys, "jacobi", "--inline", str(inline))
+    assert (code, out) == (1, "")
+    assert err == f"engelhomology: error: {message}\n"
+
+
 def test_missing_parameter_exits_3(capsys):
     code, _, err = run(capsys, "betti", "--family", "1",
                        "--complex", "tangent", "--weights", "0",

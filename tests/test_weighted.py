@@ -8,6 +8,7 @@ published kernel rows for that complex differ, and the acceptance suite
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -766,6 +767,26 @@ def test_non_lie_algebra_runs_every_trial(monkeypatch):
     assert sampled
 
 
+def test_randomized_draws_grow_linearly_with_the_trials(monkeypatch):
+    # a rank left open after trial 1 runs its other trials in one call,
+    # which draws each point once: 1 + 50 points for 50 trials, not the
+    # 1 + 2 + ... + 50 of one call per trial, each drawing the points
+    # before its own again
+    drawn = {}
+    sample_points = exact._sample_points
+
+    def counting(M, *args):
+        for point in sample_points(M, *args):
+            drawn[id(M)] = drawn.get(id(M), 0) + 1
+            yield point
+
+    monkeypatch.setattr(exact, "_sample_points", counting)
+    rep = homology_report(COTANGENT, -6, FAMILIES[1], Randomized(trials=50))
+    assert list(rep.routes.values()).count("sampled") == 3
+    assert max(drawn.values()) <= 51
+    assert sum(drawn.values()) <= 153
+
+
 # ---------------------------------------------------------------------------
 # symbolic ranks: the squeeze, constant (co)cycles, and Bareiss on the rest
 
@@ -776,6 +797,19 @@ SYMBOLIC_TABLES = [(kind, weight, fam)
                    for fam in range(1, 7)
                    if (kind, weight, fam) not in ((COTANGENT, -6, 2),
                                                   (EXTENDED, -2, 2))]
+
+
+def test_route_census_of_the_published_tables():
+    for mode in (Randomized(), Randomized(trials=1)):
+        assert Counter(
+            route for kind, weight in PUBLISHED for g in FAMILIES.values()
+            for route in homology_report(kind, weight, g, mode).routes.values()
+        ) == {"exact": 80, "squeeze": 133, "sampled": 57}
+    assert Counter(
+        route for kind, weight, fam in SYMBOLIC_TABLES for route in
+        homology_report(kind, weight, FAMILIES[fam],
+                        SymbolicGeneric()).routes.values()
+    ) == {"exact": 45, "squeeze": 49, "cycles": 13, "bareiss": 8}
 
 
 def _counting_bareiss(monkeypatch, bareiss=exact._rank_symbolic):
@@ -798,16 +832,27 @@ def test_non_lie_symbolic_runs_bareiss_on_every_rank(monkeypatch):
     # takes seconds
     calls = _counting_bareiss(monkeypatch, lambda M: matrix_rank(
         M, Randomized(), g.nonzero)[0])
+    seen = {"bareiss": 0, "exact": 0}
     for kind, weight in PUBLISHED:
         del calls[:]
         rep = homology_report(kind, weight, g, SymbolicGeneric())
+        builder = _BoundaryBuilder(g, kind)
         ranked = [m for m, _, _ in _boundaries(kind, weight)]
+        # a d_m with parameters reaches Bareiss; one without is ranked
+        # exactly, as in every other mode
+        generic = [m for m in ranked
+                   if builder.boundary(weight, m).parameters()]
         assert [m for m, route in rep.routes.items()
-                if route == "bareiss"] == ranked, (kind, weight)
-        # the other d_m map into the zero space
+                if route == "bareiss"] == generic, (kind, weight)
+        assert all(rep.routes[m] == "exact" for m in ranked
+                   if m not in generic)
+        # and the d_m not ranked map into the zero space
         assert set(rep.routes.values()) <= {"bareiss", "exact"}
-        assert len(calls) == len(ranked)
+        assert len(calls) == len(generic)
         assert rep.rows == homology_report(kind, weight, g).rows
+        seen["bareiss"] += len(generic)
+        seen["exact"] += len(ranked) - len(generic)
+    assert all(seen.values())
 
 
 def test_proven_symbolic_ranks_equal_bareiss(monkeypatch):
