@@ -115,7 +115,10 @@ def _load_inline(path):
     for entry in _json_list(doc.get("brackets", []), "brackets"):
         if not isinstance(entry, dict):
             raise ValueError("each bracket entry must be a JSON object")
-        i, j = int(entry["i"]), int(entry["j"])
+        i, j = entry["i"], entry["j"]
+        if {type(i), type(j)} != {int}:
+            raise ValueError("inline algebra: bracket i and j must be JSON "
+                             f"integers, not {json.dumps([i, j])}")
         if (i, j) in seen:
             raise ValueError(f"bracket ({i},{j}) is given twice")
         seen.add((i, j))
@@ -123,6 +126,10 @@ def _load_inline(path):
         if len(coeffs) != 4:
             raise ValueError(f"bracket ({i},{j}) needs 4 coefficients")
         for k, text in enumerate(coeffs, start=1):
+            if type(text) not in (int, str):
+                raise ValueError(f"bracket ({i},{j}): coefficient "
+                                 f"{json.dumps(text)} is neither an integer "
+                                 "nor a string")
             try:
                 v = parse_fraction(str(text))
             except ZeroDivisionError:

@@ -1,14 +1,16 @@
 """Exact arithmetic core: Laurent polynomials in named parameters, and
 rank/kernel computation for matrices whose entries are polynomials.
 
-Scalars are `fractions.Fraction` throughout.  Every structure constant is
-a polynomial divided by a monomial in parameters declared nonzero (a
+Scalars are `fractions.Fraction`.  Every structure constant is a
+polynomial divided by a monomial in parameters declared nonzero (a
 power of C144), so one scalar type suffices: a Laurent polynomial, a
 sparse map from monomials to nonzero rational coefficients.  A monomial
 is a name-sorted tuple of (name, exponent) pairs with nonzero, possibly
-negative, exponents, so equality is structural equality.
+negative, exponents, so equality is structural equality.  Only Bareiss
+elimination packs monomials into integers, over Z[x].
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 import random
@@ -114,11 +116,6 @@ class ParamPolynomial:
     def is_monomial(self):
         return len(self.terms) == 1
 
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(k for _, k in m) for m in self.terms)
-
     def parameters(self):
         """Sorted names of the parameters that occur."""
         return tuple(sorted({v for m in self.terms for v, _ in m}))
@@ -211,46 +208,6 @@ class ParamPolynomial:
             if n:
                 base = base * base
         return out
-
-    def divide_exact(self, divisor):
-        """Exact polynomial division; raises if the division is not exact.
-
-        If divisor | self then lead(self) = lead(divisor) * lead(quotient)
-        in any monomial order, so repeated leading-term cancellation
-        terminates with zero remainder exactly when the division is exact.
-        Both operands are polynomials (no negative exponents).
-        """
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if divisor.is_constant():
-            return self * (1 / divisor.constant_value())
-        # dense exponent vectors over the joint variables make the
-        # graded-lex comparisons below plain tuple comparisons
-        names = sorted(set(self.parameters()) | set(divisor.parameters()))
-        key = _deglex(names)
-        rem = {key(m): c for m, c in self.terms.items()}
-        td = {key(m): c for m, c in divisor.terms.items()}
-        de = max(td)
-        dc = td[de]
-        quot = {}
-        while rem:
-            re = max(rem)
-            qe = tuple(a - b for a, b in zip(re[1], de[1]))
-            if any(x < 0 for x in qe):
-                raise ValueError("inexact polynomial division")
-            qc = rem[re] / dc
-            quot[qe] = quot.get(qe, 0) + qc
-            for (deg, e), c in td.items():
-                m = (deg + re[0] - de[0],
-                     tuple(a + b for a, b in zip(qe, e)))
-                nxt = rem.get(m, 0) - qc * c
-                if nxt:
-                    rem[m] = nxt
-                else:
-                    rem.pop(m, None)
-        return ParamPolynomial({
-            tuple((v, k) for v, k in zip(names, e) if k): c
-            for e, c in quot.items()})
 
     # -- evaluation and substitution ---------------------------------------
 
@@ -841,45 +798,120 @@ def certificate_rank(N, vectors, nonzero=(), transpose=False):
 
 
 def _rank_symbolic(M):
-    work = [[M.entry(r, c) for c in range(M.cols)] for r in range(M.rows)]
-    nrows, ncols = M.rows, M.cols
-    prev = ParamPolynomial.const(1)
+    """The generic rank of M over Q(x): fraction-free (Bareiss)
+    elimination of M.tensor() over Z[x] on packed monomials (see
+    _packed_rows).  Each step pivots on an entry with the fewest terms,
+    then the least Markowitz count, and turns every other row into
+    (row·piv − lead·top) / prev, an exact division since each entry is
+    then a minor."""
+    rows, guards = _packed_rows(M.tensor())
+    prev = {0: 1}
     rank = 0
-    while True:
-        pivot = None
-        best = None
-        for r in range(rank, nrows):
-            for c in range(rank, ncols):
-                p = work[r][c]
-                if p.is_zero():
-                    continue
-                row_nnz = sum(1 for cc in range(rank, ncols)
-                              if not work[r][cc].is_zero())
-                col_nnz = sum(1 for rr in range(rank, nrows)
-                              if not work[rr][c].is_zero())
-                key = (p.total_degree(), (row_nnz - 1) * (col_nnz - 1), r, c)
-                if best is None or key < best:
-                    best = key
-                    pivot = (r, c)
-        if pivot is None:
-            return rank
-        pr, pc = pivot
-        if pr != rank:
-            work[pr], work[rank] = work[rank], work[pr]
-        if pc != rank:
-            for row in work:
-                row[pc], row[rank] = row[rank], row[pc]
-        piv = work[rank][rank]
-        for r in range(rank + 1, nrows):
-            lead = work[r][rank]
-            for c in range(rank + 1, ncols):
-                num = work[r][c] * piv - lead * work[rank][c]
-                work[r][c] = num.divide_exact(prev)
-            work[r][rank] = ParamPolynomial.zero()
+    while rows:
+        col_nnz = Counter(c for row in rows.values() for c in row)
+        _, _, pr, pc = min((len(p), (len(row) - 1) * (col_nnz[c] - 1), r, c)
+                           for r, row in rows.items() for c, p in row.items())
+        top = rows.pop(pr)
+        piv = top.pop(pc)
+        for r, row in list(rows.items()):
+            lead = row.pop(pc, {})
+            row = {c: _mul_sub(row.get(c, {}), piv, lead, top.get(c, {}))
+                   for c in (row.keys() | top.keys() if lead else row)}
+            rows[r] = {c: _divide_packed(p, prev, guards)
+                       for c, p in row.items() if p}
+        rows = {r: row for r, row in rows.items() if row}
         prev = piv
         rank += 1
-        if rank == nrows or rank == ncols:
-            return rank
+    return rank
+
+
+def _packed_rows(T):
+    """({row: {col: entry}}, guards): the TensorMatrix T over Z[x], each
+    nonzero entry a dict {packed monomial: int}.
+
+    Each column is divided by its least monomial (every parameter to its
+    least exponent there) and T by its denominator D, which keeps the
+    rank over Q(x).  A packed monomial is one integer with a bit field
+    per parameter, the first one most significant, so packed integers
+    compare in lex order and monomials multiply by addition.  A field
+    holds twice the sum over columns of its parameter's column degree,
+    which bounds every minor and every product before a division, plus a
+    guard bit (set in `guards`) that a borrow out of the field sets."""
+    params = T.parameters()
+    exps = [[dict(m).get(v, 0) for v in params] for m in T._monomials]
+    terms = [[(j, a) for j, a in enumerate(row) if a]
+             for row in T._coefficients.tolist()]
+    by_col = {}
+    for r, c, f in T.entries.tolist():
+        by_col.setdefault(c, []).append((r, f))
+    low, degree = {}, [0] * len(params)
+    for c, cells in by_col.items():
+        used = list(zip(*(exps[j] for _, f in cells for j, _ in terms[f])))
+        low[c] = [min(e) for e in used]
+        degree = [d + max(e) - min(e) for d, e in zip(degree, used)]
+    widths = [(2 * d).bit_length() + 1 for d in degree]
+    shifts = [sum(widths[i + 1:]) for i in range(len(widths))]
+    guards = sum(1 << (s + w - 1) for s, w in zip(shifts, widths))
+
+    def pack(e):
+        return sum(k << s for k, s in zip(e, shifts))
+
+    packed = [pack(e) for e in exps]
+    rows = {}
+    for c, cells in by_col.items():
+        base = pack(low[c])
+        for r, f in cells:
+            rows.setdefault(r, {})[c] = {packed[j] - base: a
+                                         for j, a in terms[f]}
+    return rows, guards
+
+
+def _mul_sub(a, b, c, d):
+    """a·b − c·d for packed polynomials ({} is zero)."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            out[e] = out.get(e, 0) + ca * cb
+    for ec, cc in c.items():
+        for ed, cd in d.items():
+            e = ec + ed
+            out[e] = out.get(e, 0) - cc * cd
+    return {e: x for e, x in out.items() if x}
+
+
+def _divide_packed(num, den, guards):
+    """The quotient num / den of packed polynomials over Z[x] (see
+    _packed_rows), by leading-term cancellation in lex order; a divisor
+    that is a constant or a monomial divides term by term.  Raises
+    ValueError when a quotient term has a nonzero integer remainder, a
+    negative exponent or a set guard bit (a borrow): the division is not
+    exact, or the fields are too narrow."""
+    de = max(den)
+    dc = den[de]
+    if len(den) == 1:
+        quot = {e - de: x // dc for e, x in num.items()}
+        if any(x % dc for x in num.values()) or de and any(
+                e < 0 or e & guards for e in quot):
+            raise ValueError("inexact division by a monomial")
+        return quot
+    rem = dict(num)
+    quot = {}
+    while rem:
+        re = max(rem)
+        qc, r = divmod(rem[re], dc)
+        qe = re - de
+        if r or qe < 0 or qe & guards:
+            raise ValueError("inexact polynomial division")
+        quot[qe] = qc
+        for e, c in den.items():
+            e += qe
+            x = rem.get(e, 0) - qc * c
+            if x:
+                rem[e] = x
+            else:
+                del rem[e]
+    return quot
 
 
 # -- randomized ------------------------------------------------------------

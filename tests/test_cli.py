@@ -71,6 +71,12 @@ def test_jacobi_inline(tmp_path, capsys):
     assert code == 2
     assert "verdict: FAIL" in out
     assert any(line.startswith("J(") for line in out.split("\n"))
+    # a coefficient may also be a JSON integer
+    doc = json.loads(bad.read_text(encoding="utf-8"))
+    for entry in doc["brackets"]:
+        entry["coeffs"] = [int(c) for c in entry["coeffs"]]
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(capsys, "jacobi", "--inline", str(bad)) == (2, out, "")
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +411,28 @@ def test_deeply_nested_input_exits_1(document, tmp_path, capsys):
         {"i": 1, "j": 2, "coeffs": ["a", "0", "0", "0"]}],
       "nonzero": ["a", "b"]},
      "nonzero: unknown parameter b of bad (its parameters: a)"),
+    ({"basis_dim": 4, "brackets": [
+        {"i": 1.5, "j": 2, "coeffs": ["1", "0", "0", "0"]}]},
+     "inline algebra: bracket i and j must be JSON integers, not [1.5, 2]"),
+    ({"basis_dim": 4, "brackets": [
+        {"i": 1, "j": True, "coeffs": ["1", "0", "0", "0"]}]},
+     "inline algebra: bracket i and j must be JSON integers, not [1, true]"),
+    ({"basis_dim": 4, "brackets": [
+        {"i": "1", "j": 2, "coeffs": ["1", "0", "0", "0"]}]},
+     'inline algebra: bracket i and j must be JSON integers, not ["1", 2]'),
+    ({"basis_dim": 4, "brackets": [
+        {"i": 1, "j": 2, "coeffs": [None, "0", "0", "0"]}]},
+     "bracket (1,2): coefficient null is neither an integer nor a string"),
+    ({"basis_dim": 4, "brackets": [
+        {"i": 1, "j": 2, "coeffs": ["1", 0.5, "0", "0"]}]},
+     "bracket (1,2): coefficient 0.5 is neither an integer nor a string"),
+    ({"basis_dim": 4, "brackets": [
+        {"i": 1, "j": 2, "coeffs": ["1", "0", False, "0"]}]},
+     "bracket (1,2): coefficient false is neither an integer nor a string"),
 ], ids=["not-object", "entry-not-object", "coeffs-not-list",
-        "nonzero-not-list", "repeated-entry", "unknown-nonzero"])
+        "nonzero-not-list", "repeated-entry", "unknown-nonzero",
+        "float-index", "bool-index", "string-index", "null-coefficient",
+        "float-coefficient", "bool-coefficient"])
 def test_malformed_inline_algebra_exits_1(document, message, tmp_path,
                                           capsys):
     inline = tmp_path / "bad.json"

@@ -97,35 +97,64 @@ def test_evaluate_mod_matches_exact():
     assert lhs == rhs
 
 
-# -- exact division --------------------------------------------------------
+# -- exact division of packed polynomials ----------------------------------
+
+# two 8-bit exponent fields, y above x, with guard bits 15 and 7
+_X, _Y, _GUARDS = 1, 1 << 8, 1 << 15 | 1 << 7
 
 
-def test_divide_exact_roundtrip():
-    a, b = PV("a"), PV("b")
-    p = a * a - b * b + a * b + 2 * a
-    q = a + b - 1
-    prod = p * q
-    assert prod.divide_exact(q) == p
-    assert prod.divide_exact(p) == q
+def _packed(*terms):
+    """The packed polynomial sum of c * x^i * y^j over (c, i, j)."""
+    return {i * _X + j * _Y: c for c, i, j in terms if c}
 
 
-def test_divide_exact_rejects_inexact():
-    a = PV("a")
+def _divide(num, den):
+    return exact._divide_packed(num, den, _GUARDS)
+
+
+def test_divide_packed_roundtrip():
+    p = _packed((1, 2, 0), (-1, 0, 2), (1, 1, 1), (2, 1, 0))
+    q = _packed((1, 1, 0), (1, 0, 1), (-1, 0, 0))
+    prod = exact._mul_sub(p, q, {}, {})
+    assert _divide(prod, q) == p
+    assert _divide(prod, p) == q
+    # the fast paths: a constant and a monomial divisor
+    for d in (_packed((-3, 0, 0)), _packed((2, 1, 3))):
+        assert _divide(exact._mul_sub(p, d, {}, {}), d) == p
+
+
+def test_divide_packed_rejects_inexact():
+    with pytest.raises(ValueError):  # (x^2 + 1) / (x + 1)
+        _divide(_packed((1, 2, 0), (1, 0, 0)), _packed((1, 1, 0), (1, 0, 0)))
+    with pytest.raises(ValueError):  # (x + 1) / (2x + 2) is not over Z
+        _divide(_packed((1, 1, 0), (1, 0, 0)), _packed((2, 1, 0), (2, 0, 0)))
+    for num, den in (((3, 1, 0), (2, 0, 0)), ((3, 1, 0), (2, 1, 0)),
+                     ((1, 1, 0), (1, 2, 0)), ((1, 1, 0), (1, 0, 1))):
+        with pytest.raises(ValueError):
+            _divide(_packed(num), _packed(den))
+
+
+def test_divide_packed_rejects_a_borrow():
+    # y / x takes 1 from y's field and leaves 255 in x's: its guard bit
+    y, x = _packed((1, 0, 1)), _packed((1, 1, 0))
+    assert (_Y - _X) & _GUARDS
     with pytest.raises(ValueError):
-        (a * a + 1).divide_exact(a + 1)
+        _divide(y, x)
+    # y + y/x over x + 1: the quotient y/x borrows in the long division
+    with pytest.raises(ValueError):
+        _divide({_Y: 1, _Y - _X: 1}, _packed((1, 1, 0), (1, 0, 0)))
 
 
 @given(st.lists(st.integers(-5, 5), min_size=6, max_size=6),
        st.lists(st.integers(-5, 5), min_size=6, max_size=6))
 @settings(max_examples=60, deadline=None)
-def test_divide_exact_property(cs, ds):
-    a, b = PV("a"), PV("b")
-    basis = [PC(1), a, b, a * a, a * b, b * b]
-    p = sum((c * m for c, m in zip(cs, basis)), ParamPolynomial.zero())
-    q = sum((d * m for d, m in zip(ds, basis)), ParamPolynomial.zero())
-    if q.is_zero():
+def test_divide_packed_property(cs, ds):
+    basis = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    p = _packed(*((c, i, j) for c, (i, j) in zip(cs, basis)))
+    q = _packed(*((d, i, j) for d, (i, j) in zip(ds, basis)))
+    if not q:
         return
-    assert (p * q).divide_exact(q) == p
+    assert _divide(exact._mul_sub(p, q, {}, {}), q) == p
 
 
 # -- fractions -------------------------------------------------------------
@@ -440,6 +469,51 @@ def test_randomized_never_exceeds_symbolic(cs, seed):
     r_sym, _ = matrix_rank(M, SymbolicGeneric())
     r_rand, _ = matrix_rank(M, Randomized(seed=seed, trials=2))
     assert r_rand <= r_sym
+
+
+# Laurent entries: up to two terms c * a^i * b^j with Fraction c
+_laurent = st.lists(
+    st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+              st.integers(-1, 2), st.integers(-1, 1)), max_size=2).map(
+    lambda terms: sum((c * PV("a") ** i * PV("b") ** j for c, i, j in terms),
+                      ParamPolynomial.zero()))
+
+
+@given(st.integers(1, 5), st.integers(0, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_bareiss_rank_of_a_product(n, k, data):
+    # M = B·C with B n×k and C k×n has rank at most k, so a Randomized
+    # lower bound that reaches k fixes it
+    B, C = (PolyMatrix(rows, cols, {(r, c): data.draw(_laurent)
+                                    for r in range(rows)
+                                    for c in range(cols)})
+            for rows, cols in ((n, k), (k, n)))
+    M = B.matmul(C)
+    r = exact._rank_symbolic(M)
+    low = matrix_rank(M, Randomized())[0]
+    assert low <= r <= k
+    assert r == exact._rank_symbolic(M.tensor())
+
+
+def test_packed_rows_shift_columns_and_size_fields():
+    a, b = PV("a"), PV("b")
+    M = PolyMatrix.from_rows([[b / a, a], [PC(2), b * b]])
+    # column 0 is divided by 1/a, column 1 by 1; the column degrees sum
+    # to 2 in a and 3 in b, so each field holds 4 or 6 in 3 bits and a
+    # guard bit: b in bits 0-3, a in bits 4-7
+    rows, guards = exact._packed_rows(M.tensor())
+    assert guards == 1 << 7 | 1 << 3
+    assert rows == {0: {0: {1: 1}, 1: {16: 1}}, 1: {0: {16: 2}, 1: {2: 1}}}
+    assert exact._rank_symbolic(M) == 2
+
+
+def test_bareiss_on_empty_and_parameter_free_matrices():
+    for M in (PolyMatrix(0, 3), PolyMatrix(3, 0), PolyMatrix(2, 2)):
+        assert exact._rank_symbolic(M) == 0 == exact._rank_symbolic(M.tensor())
+    rows = [[2, 4, 6], [1, 2, 3], [Fraction(1, 2), 0, 7]]
+    M = PolyMatrix.from_rows(rows)
+    assert not M.parameters()
+    assert exact._rank_symbolic(M) == 2 == _fraction_rank(rows)
 
 
 # -- the shared exact elimination ------------------------------------------
