@@ -151,17 +151,19 @@ def _json_list(value, what):
     return value
 
 
-def _add_selector(sub, with_type=True):
+def _add_selector(sub):
+    """--param, then the required algebra choice; returns its group (the
+    usage line brackets a group only while its options are adjacent)."""
+    sub.add_argument("--param", metavar="A", default=None,
+                     help="scalar parameters, e.g. a=2,b=3")
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--family", type=int, metavar="N",
                        help="catalogued family 1..6")
-    if with_type:
-        group.add_argument("--type", type=int, metavar="N", dest="class_type",
-                           help="fixed classified algebra 1..12")
+    group.add_argument("--type", type=int, metavar="N", dest="class_type",
+                       help="fixed classified algebra 1..12")
     group.add_argument("--inline", metavar="FILE",
                        help="JSON structure-constant file")
-    sub.add_argument("--param", metavar="A", default=None,
-                     help="scalar parameters, e.g. a=2,b=3")
+    return group
 
 
 def _check_names(option, assignment, algebra):
@@ -340,13 +342,9 @@ def build_parser():
     fam.set_defaults(func=cmd_families)
 
     jac = sub.add_parser("jacobi", help="Jacobi identity check")
-    group = jac.add_mutually_exclusive_group(required=True)
-    group.add_argument("--family", type=int, metavar="N")
-    group.add_argument("--type", type=int, metavar="N", dest="class_type")
-    group.add_argument("--inline", metavar="FILE")
-    group.add_argument("--ansatz", action="store_true",
-                       help="unsolved 16-parameter bracket ansatz")
-    jac.add_argument("--param", metavar="A", default=None)
+    _add_selector(jac).add_argument(
+        "--ansatz", action="store_true",
+        help="unsolved 16-parameter bracket ansatz")
     jac.set_defaults(func=cmd_jacobi)
 
     bet = sub.add_parser("betti", help="weighted-complex homology reports")

@@ -35,6 +35,15 @@ class DegenerateDenominator(ZeroDivisionError):
     """A fraction's denominator vanishes at the requested point."""
 
 
+def _bad_point(parameters, denominator, assignment):
+    """Raise why an evaluation at `assignment` failed: the first of the
+    `parameters` it misses, else the vanishing `denominator`."""
+    for v in parameters:
+        if v not in assignment:
+            raise MissingParameter(v)
+    raise DegenerateDenominator(str(denominator))
+
+
 def _as_fraction(x):
     if isinstance(x, Fraction):
         return x
@@ -211,14 +220,6 @@ class ParamPolynomial:
 
     # -- evaluation and substitution ---------------------------------------
 
-    def _bad_point(self, assignment):
-        """Raise why evaluation at `assignment` failed: the first missing
-        parameter, else a vanishing denominator."""
-        for v in self.parameters():
-            if v not in assignment:
-                raise MissingParameter(v)
-        raise DegenerateDenominator(str(self.split()[1]))
-
     def evaluate(self, assignment):
         """Exact value at a point; raises MissingParameter when incomplete
         and DegenerateDenominator when a denominator vanishes there."""
@@ -229,7 +230,7 @@ class ParamPolynomial:
                     c = c * _as_fraction(assignment[v]) ** k
                 total += c
         except (KeyError, ZeroDivisionError):
-            self._bad_point(assignment)
+            _bad_point(self.parameters(), self.split()[1], assignment)
         return total
 
     def evaluate_mod(self, assignment, p=_PRIME):
@@ -245,7 +246,7 @@ class ParamPolynomial:
                     t = t * pow(assignment[v] % p, k, p) % p
                 total = (total + t) % p
         except (KeyError, ValueError):
-            self._bad_point(assignment)
+            _bad_point(self.parameters(), self.split()[1], assignment)
         return total
 
     def substitute(self, assignment):
@@ -606,14 +607,6 @@ class TensorMatrix:
         rows = S.reshape(-1, S.shape[2]).tolist()
         return list({tuple(row): None for row in rows if any(row)})
 
-    def _bad_point(self, assignment):
-        """Raise why evaluation at `assignment` failed, as
-        ParamPolynomial.evaluate does."""
-        for v in self.parameters():
-            if v not in assignment:
-                raise MissingParameter(v)
-        raise DegenerateDenominator(str(self.denominator()))
-
     def modular(self, point):
         """The matrix modulo _PRIME at an integer point, as an int64
         array."""
@@ -635,7 +628,7 @@ class TensorMatrix:
                     t = t * pow(point[v] % p, k, p) % p
                 values.append(t)
         except (KeyError, ValueError):
-            self._bad_point(point)
+            _bad_point(self.parameters(), self.denominator(), point)
         # both factors are below p, so no int64 product overflows
         x = np.array(values, dtype=np.int64)
         forms = (self._residues * x % p).sum(axis=1) % p
@@ -654,7 +647,7 @@ class TensorMatrix:
                     t *= _as_fraction(assignment[v]) ** k
                 values.append(t)
         except (KeyError, ZeroDivisionError):
-            self._bad_point(assignment)
+            _bad_point(self.parameters(), self.denominator(), assignment)
         # one integer product over the common denominator of the values
         scale = lcm(*(t.denominator for t in values))
         x = np.array([t.numerator * (scale // t.denominator) for t in values],

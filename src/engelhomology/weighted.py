@@ -22,14 +22,13 @@ arithmetic from the brackets of letter pairs over an algebra whose
 constants are variables, as an integer matrix F of linear forms in the
 c_ijk.  An algebra's constants are an integer matrix K over their
 Laurent monomials, so
-F·K holds the exact coefficients of every entry of d_m.  The numeric
-rank modes evaluate that product directly; only the symbolic mode
-makes polynomials of it and clears their denominators.
+F·K holds the exact coefficients of every entry of d_m.  Every rank
+mode ranks that product directly, denominators and all; only the
+public boundary_matrix makes polynomials of it and clears them.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import comb
 
 import itertools
 
@@ -106,72 +105,17 @@ def _as_kind(kind):
 # A letter is (component, index-tuple); a word is a sorted tuple of them.
 
 
-def _occupancy_dim(comp, count):
-    if comp.word_parity == 1:
-        return comb(comp.dimension, count)
-    return comb(comp.dimension + count - 1, count)
-
-
-class WeightSignature:
-    """How many letters of each component a word uses."""
-
-    __slots__ = ("occupancy",)
-
-    def __init__(self, occupancy):
-        occ = tuple((comp, int(k)) for comp, k in occupancy if k)
-        for comp, k in occ:
-            if k < 0:
-                raise ValueError("negative occupancy")
-            if comp.word_parity == 1 and k > comp.dimension:
-                raise ValueError(
-                    f"{comp!r}: {k} anticommuting letters exceed dimension")
-        self.occupancy = occ
-
-    @property
-    def m(self):
-        return sum(k for _, k in self.occupancy)
-
-    @property
-    def weight(self):
-        return sum(k * comp.grade for comp, k in self.occupancy)
-
-    def dimension(self):
-        out = 1
-        for comp, k in self.occupancy:
-            out *= _occupancy_dim(comp, k)
-        return out
-
-    def words(self):
-        """All canonical words with this occupancy, deterministic order."""
-        per_component = []
-        for comp, k in self.occupancy:
-            letters = tuple((comp, idx) for idx in comp.basis())
-            if comp.word_parity == 1:
-                chunk = list(itertools.combinations(letters, k))
-            else:
-                chunk = list(itertools.combinations_with_replacement(letters, k))
-            per_component.append(chunk)
-        out = []
-        for pieces in itertools.product(*per_component):
-            word = tuple(itertools.chain.from_iterable(pieces))
-            out.append(word)
-        return out
-
-    def __repr__(self):
-        inner = ", ".join(f"{comp.species}^{comp.degree}:{k}"
-                          for comp, k in self.occupancy)
-        return f"WeightSignature({inner})"
-
-
 def enumerate_signatures(kind, weight, m):
-    """All occupancy solutions of (sum counts = m, sum count*grade = weight).
+    """All occupancies with (sum counts = m, sum count*grade = weight):
+    tuples of (component, count) pairs in component order, zero counts
+    left out.
 
     The empty word (m = 0, weight 0) counts as the scalar chain only for
     the tangent and extended structures; the cotangent chain space is empty
     in non-negative weights.
     """
     kind = _as_kind(kind)
-    if m < 0:
+    if m < 0 or (m == 0 and kind.variant == COTANGENT):
         return []
     comps = kind.components()
     grades = [c.grade for c in comps]
@@ -180,7 +124,7 @@ def enumerate_signatures(kind, weight, m):
     def recurse(pos, left_m, left_w, chosen):
         if pos == len(comps):
             if left_m == 0 and left_w == 0:
-                out.append(WeightSignature(tuple(chosen)))
+                out.append(chosen)
             return
         rest = grades[pos:]
         lo = min(rest) * left_m
@@ -197,25 +141,31 @@ def enumerate_signatures(kind, weight, m):
         elif g < 0:
             cap = min(cap, (-left_w) // (-g) if left_w <= 0 else 0)
         for k in range(cap + 1):
-            chosen.append((comp, k))
-            recurse(pos + 1, left_m - k, left_w - k * g, chosen)
-            chosen.pop()
+            recurse(pos + 1, left_m - k, left_w - k * g,
+                    chosen + ((comp, k),) if k else chosen)
 
-    recurse(0, m, weight, [])
-    if kind.variant == COTANGENT:
-        out = [s for s in out if s.m > 0]
+    recurse(0, m, weight, ())
     return out
 
 
 class WeightedChainBasis:
-    """Ordered basis of one chain space C_m in a fixed weight."""
+    """Ordered basis of one chain space C_m in a fixed weight: for each
+    occupancy, the products of each component's letter choices
+    (anticommuting letters without repeats), in deterministic order."""
 
     __slots__ = ("words", "index")
 
     def __init__(self, kind, weight, m):
         words = []
-        for sig in enumerate_signatures(kind, weight, m):
-            words.extend(sig.words())
+        for occupancy in enumerate_signatures(kind, weight, m):
+            chunks = []
+            for comp, k in occupancy:
+                letters = [(comp, idx) for idx in comp.basis()]
+                pick = (itertools.combinations if comp.word_parity == 1
+                        else itertools.combinations_with_replacement)
+                chunks.append(pick(letters, k))
+            words.extend(tuple(itertools.chain.from_iterable(pieces))
+                         for pieces in itertools.product(*chunks))
         self.words = tuple(words)
         self.index = {w: i for i, w in enumerate(self.words)}
 
@@ -370,10 +320,9 @@ class _BoundaryBuilder:
     """All d_m of one (algebra, kind): the boundary tensors contracted
     with the algebra's structure constants."""
 
-    __slots__ = ("g", "kind", "_constants")
+    __slots__ = ("kind", "_constants")
 
     def __init__(self, g, kind):
-        self.g = g
         self.kind = _as_kind(kind)
         # K, monomials, D: row n of K / D is the constant _CONSTANTS[n]
         self._constants = coefficient_table(
@@ -383,9 +332,10 @@ class _BoundaryBuilder:
         """d_m as a TensorMatrix: the coefficients F·K of its distinct
         entries over the monomials of the constants, with denominators.
 
-        At a point where no denominator vanishes, the cleared matrix is
-        this one with each column scaled by a nonzero number, so both
-        have the same rank there: the numeric rank modes take this one.
+        The cleared matrix is this one with each column scaled by a
+        nonzero monomial, so both have the same rank, generically and at
+        any point where no denominator vanishes: every rank mode takes
+        this one.
         """
         rows, cols, F, cells = _boundary_tensor(self.kind, weight, m)
         K, monomials, den = self._constants
@@ -551,7 +501,7 @@ def homology_report(kind, weight, algebra, mode=None, specialization=None):
             for m in range(-1, _scan_cap(weight) + 1)}
     matrices = {m: builder.boundary(weight, m) for m, dim in dims.items()
                 if m >= 0 and dim and dims[m - 1]}
-    ranks, routes = _ranks(builder, weight, matrices, mode, algebra)
+    ranks, routes = _ranks(matrices, mode, algebra)
     rows = []
     for m, dim in dims.items():
         if m < 0 or dim == 0:
@@ -564,11 +514,10 @@ def homology_report(kind, weight, algebra, mode=None, specialization=None):
                        specialization=specialization, routes=routes)
 
 
-def _ranks(builder, weight, matrices, mode, algebra):
+def _ranks(matrices, mode, algebra):
     """({m: rank of d_m}, {m: route}) for the raw `matrices` under
     `mode`, from a proven lower bound `low` and upper bound `high` of
-    each rank, tightened until they meet (a cleared matrix has its
-    columns scaled by monomials, so its kernel is not d_m's).
+    each rank, tightened until they meet.
 
     1. `low` is trial 1 of the mode's sampling, Randomized() standing in
        for SymbolicGeneric: a rank mod p at a point where no denominator
@@ -585,8 +534,8 @@ def _ranks(builder, weight, matrices, mode, algebra):
        identically) give r_m <= dim C_m - rank[d_{m+1} | V], and
        constant cocycles U (Uᵀ·d_m = 0) give r_m <= dim C_{m-1} -
        rank[d_{m-1}ᵀ | U], each rank taken mod p at one point as a lower
-       bound.  Then Bareiss ranks the cleared matrix of each d_m not yet
-       proven, smallest first.
+       bound.  Then Bareiss ranks each d_m not yet proven, smallest
+       first.
     """
     nonzero = algebra.nonzero
     symbolic = isinstance(mode, SymbolicGeneric)
@@ -627,7 +576,7 @@ def _ranks(builder, weight, matrices, mode, algebra):
                     matrices[m].cols):
         if not symbolic or m in routes:
             continue
-        r = matrix_rank(builder.matrix(weight, m), mode)[0]
+        r = matrix_rank(matrices[m], mode)[0]
         assert low[m] <= r <= high[m], (m, low[m], r, high[m])
         low[m] = high[m] = r
         routes[m] = "bareiss"

@@ -298,9 +298,16 @@ def test_foliation_table_note_family3(capsys):
 # exit codes
 
 
-def test_usage_error_exits_1(capsys):
+@pytest.mark.parametrize("argv", [
+    ["betti", "--family", "1", "--complex", "tangent"],
+    ["jacobi", "--ansatz", "--family", "1"],
+    ["jacobi", "--family", "1", "--type", "1"],
+    ["jacobi"],
+], ids=["betti-no-weights", "jacobi-ansatz-and-family",
+        "jacobi-family-and-type", "jacobi-bare"])
+def test_usage_error_exits_1(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["betti", "--family", "1", "--complex", "tangent"])
+        main(argv)
     assert exc.value.code == 1
 
 

@@ -61,9 +61,9 @@ def test_tracer_sees_every_rank_layer_of_the_reports():
     assert "exact.rank_modp" in names["randomized"]
     assert "exact.rank_int" in names["specialized"]
     assert "exact.rank_bareiss" in names["symbolic"]
-    # numeric modes rank the raw matrix: only Bareiss clears denominators
-    assert "weighted.clear" in names["symbolic"]
-    assert "weighted.clear" not in names["randomized"] | names["specialized"]
+    # every mode, Bareiss included, ranks the raw matrix: nothing clears
+    # denominators
+    assert all("weighted.clear" not in layers for layers in names.values())
     for layer in ("exact.rank_modp", "exact.rank_int", "exact.rank_bareiss"):
         assert tracer.counts[f"{layer}.cells"] > 0
     assert tracer.counts["exact.rank_modp.nnz"] > 0
