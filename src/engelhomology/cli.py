@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from .engel import (
@@ -328,7 +329,9 @@ def cmd_foliation(args):
 # parser assembly
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The parser, built once per process: parse_args keeps no state."""
     ap = _Parser(prog="engelhomology",
                  description="Exact weighted-homology and plane-field "
                              "calculator for 4-dimensional Lie algebras.")

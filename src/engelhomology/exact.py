@@ -12,6 +12,7 @@ elimination packs monomials into integers, over Z[x].
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 import random
 
@@ -109,6 +110,13 @@ class ParamPolynomial:
         """x itself when it is a ParamPolynomial, else the constant x."""
         return x if isinstance(x, ParamPolynomial) else cls.const(x)
 
+    @classmethod
+    def _of(cls, terms):
+        """The polynomial on `terms`, zero-free, taken over uncopied."""
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
+
     # -- structure ---------------------------------------------------------
 
     def is_zero(self):
@@ -139,9 +147,8 @@ class ParamPolynomial:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ParamPolynomial.const(other)
-        if not isinstance(other, ParamPolynomial):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
         return self.terms == other.terms
 
@@ -151,24 +158,27 @@ class ParamPolynomial:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ParamPolynomial.const(other)
-        if not isinstance(other, ParamPolynomial):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return ParamPolynomial(out)
+            if m in out:
+                c += out[m]
+                if not c:
+                    del out[m]
+                    continue
+            out[m] = c
+        return ParamPolynomial._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPolynomial({m: -c for m, c in self.terms.items()})
+        return ParamPolynomial._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ParamPolynomial.const(other)
-        if not isinstance(other, ParamPolynomial):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -176,11 +186,17 @@ class ParamPolynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ParamPolynomial({m: c * other
-                                    for m, c in self.terms.items()})
         if not isinstance(other, ParamPolynomial):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other:
+                return ParamPolynomial._of({})
+            return ParamPolynomial._of({m: c * other
+                                        for m, c in self.terms.items()})
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            (ma, ca), = self.terms.items()
+            (mb, cb), = other.terms.items()
+            return ParamPolynomial._of({_mono_mul(ma, mb): ca * cb})
         out = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
@@ -192,9 +208,8 @@ class ParamPolynomial:
 
     def __truediv__(self, other):
         """Division by a nonzero monomial (a constant included)."""
-        if isinstance(other, (int, Fraction)):
-            other = ParamPolynomial.const(other)
-        if not isinstance(other, ParamPolynomial):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero")
@@ -303,6 +318,16 @@ class ParamPolynomial:
         return f"ParamPolynomial({self})"
 
 
+def _operand(x):
+    """x, or the constant x for an int or Fraction, else None; the cheap
+    test first, as isinstance(x, Fraction) goes through an ABC metaclass."""
+    if isinstance(x, ParamPolynomial):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return ParamPolynomial.const(x)
+    return None
+
+
 def common_denominator(polys):
     """The least monic monomial whose product with each of `polys` is a
     polynomial: each parameter to its largest negative exponent."""
@@ -345,7 +370,13 @@ def _monomial_denominator(monomials):
 
 def parse_fraction(text):
     """Parse '+ - * / ^ ( )' expressions over integers and parameter names
-    into a ParamPolynomial.  Division is only supported by monomials."""
+    into a ParamPolynomial.  Division is only supported by monomials.  The
+    parse is memoized; every call returns a polynomial of its own."""
+    return ParamPolynomial._of(dict(_parse_fraction(text).terms))
+
+
+@lru_cache(maxsize=1024)
+def _parse_fraction(text):
     tokens = _tokenize(text)
     pos = [0]
 

@@ -155,11 +155,15 @@ class LieAlgebra4:
 
     def bracket(self, u, v):
         """[u, v] = sum of c_ijk (u_i v_j - u_j v_i) y_k over the stored
-        constants (i < j)."""
+        constants (i < j), each minor formed once and skipped when zero."""
         out = [ParamPolynomial.zero()] * 4
+        minors = {}
         for (i, j, k), c in self.c.items():
-            minor = u.coeff(i) * v.coeff(j) - u.coeff(j) * v.coeff(i)
-            out[k - 1] = out[k - 1] + c * minor
+            if (i, j) not in minors:
+                minors[i, j] = (u.coeff(i) * v.coeff(j)
+                                - u.coeff(j) * v.coeff(i))
+            if minors[i, j]:
+                out[k - 1] = out[k - 1] + c * minors[i, j]
         return Vector4(out)
 
     def jacobi_residuals(self):

@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import engelhomology
 from engelhomology.cli import main
 from engelhomology.engel import transcribed_formula
 from engelhomology.exact import parse_fraction
@@ -163,6 +168,35 @@ def test_betti_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text(encoding="utf-8").startswith("m,dim,ker,betti\n")
+
+
+def test_reused_parser_leaks_no_option(tmp_path, capsys):
+    """The parser is built once per process; options of earlier calls,
+    and a usage error, leave a plain call as a fresh interpreter runs it."""
+    plain = ["betti", "--family", "2", "--complex", "tangent",
+             "--weights", "1"]
+    assert main(plain[:-1] + ["0", "--mode", "symbolic", "--format",
+                              "csv", "--output", str(tmp_path / "r")]) == 0
+    assert main(plain + ["--mode", "specialized", "--specialize",
+                         "C143=1,C144=2,C234=3,C244=5", "--paper-table",
+                         "--seed", "7", "--trials", "1"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", "--family", "2", "--type", "3", "--complex",
+              "tangent", "--weights", "1"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    src = Path(engelhomology.__file__).resolve().parents[1]
+    # the JSON document shows the mode, seed and trials as well
+    for argv in (plain, plain + ["--format", "json"]):
+        code, out, err = run(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import sys; from engelhomology.cli "
+             "import main; sys.exit(main(sys.argv[1:]))", *argv],
+            capture_output=True, env={**os.environ, "PYTHONPATH": str(src)},
+            check=False)
+        assert (code, out.encode(), err.encode()) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert code == 0 and out
 
 
 def test_betti_inline_algebra(tmp_path, capsys):

@@ -316,6 +316,95 @@ def test_eval_is_ring_hom(p, q, x, y):
     assert (p * q).evaluate(pt) == p.evaluate(pt) * q.evaluate(pt)
 
 
+# -- hypothesis: the arithmetic against a plain-dict reference -------------
+#
+# The reference keys Laurent monomials in a and b by exponent pairs and
+# knows nothing of ParamPolynomial's canonical form or its fast paths.
+
+
+_EXPONENTS = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_SCALARS = st.one_of(st.integers(-3, 3), _COEFFS)
+
+
+def _terms(max_size):
+    return st.dictionaries(_EXPONENTS, _COEFFS, max_size=max_size)
+
+
+def _monomial(e):
+    return tuple((v, k) for v, k in zip("ab", e) if k)
+
+
+def _poly(ref):
+    return ParamPolynomial({_monomial(e): c for e, c in ref.items()})
+
+
+def _ref_add(x, y):
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out.get(e, 0) + c
+    return out
+
+
+def _ref_mul(x, y):
+    out = {}
+    for (i, j), c in x.items():
+        for (k, l), d in y.items():
+            e = (i + k, j + l)
+            out[e] = out.get(e, 0) + c * d
+    return out
+
+
+@st.composite
+def _operands(draw):
+    """Two term dicts: unrelated, or the second one-term with the first's
+    inverse exponents, or cancelling some of the first's terms."""
+    x = draw(st.one_of(_terms(1), _terms(5)))
+    kind = draw(st.sampled_from(("free", "inverse", "cancel")))
+    if kind == "inverse" and x:
+        i, j = draw(st.sampled_from(sorted(x)))
+        return x, {(-i, -j): draw(_COEFFS)}
+    y = draw(st.one_of(_terms(1), _terms(4)))
+    if kind == "cancel":
+        gone = draw(st.sets(st.sampled_from(sorted(x)))) if x else ()
+        y = _ref_add(y, {e: -x[e] for e in gone})
+    return x, y
+
+
+@given(_operands(), _SCALARS)
+@settings(max_examples=300, deadline=None)
+@example(({(1, 0): Fraction(2)}, {(-1, 0): Fraction(1, 2)}), 0)
+@example(({(1, -1): Fraction(1)}, {(1, -1): Fraction(-1)}), 1)
+def test_arithmetic_matches_a_plain_dict_reference(operands, s):
+    x, y = operands
+    p, q = _poly(x), _poly(y)
+    negative = {e: -c for e, c in y.items()}
+    cases = (
+        (p + q, _ref_add(x, y)),
+        (p - q, _ref_add(x, negative)),
+        (p * q, _ref_mul(x, y)),
+        (-q, negative),
+        (p * s, {e: c * s for e, c in x.items()}),
+        (s * q, {e: s * c for e, c in y.items()}),
+        (p + s, _ref_add(x, {(0, 0): s})),
+    )
+    for got, ref in cases:
+        want = {_monomial(e): c for e, c in ref.items() if c}
+        assert all(got.terms.values())
+        assert got.terms == want
+        assert got == _poly(ref)
+        assert hash(got) == hash(_poly(ref))
+    assert (p + q == p) == (not q)
+
+
+@given(_terms(1).filter(lambda x: any(x.values())))
+@settings(max_examples=60, deadline=None)
+def test_a_one_term_polynomial_times_its_inverse_is_one(x):
+    m = _poly(x)
+    one = m * m ** -1
+    assert one.is_constant() and one == PC(1) and one.terms == {(): 1}
+
+
 # -- matrices and rank -----------------------------------------------------
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from engelhomology.cli import main
 from engelhomology.exact import ParamPolynomial, parse_fraction
 from engelhomology.liealg import (
     ConstraintViolation,
@@ -198,6 +199,50 @@ def test_is_lie_is_checked_again_when_a_constant_changes():
     flag.terms[()] = Fraction(2)
     assert not g.is_lie()
     assert any(g.jacobi_residuals().values())
+    assert family(2).is_lie()
+
+
+_CATALOGUE = (
+    [(family, n, {}) for n in range(1, 7)]
+    + [(class_type, n, {}) for n in range(1, 13)]
+    + [(class_type, 2, {"a": 3}), (class_type, 5, {"a": 2, "b": -1}),
+       (class_type, 6, {"a": Fraction(1, 2), "b": 2}),
+       (class_type, 9, {"b": Fraction(-1, 3)}), (class_type, 11, {"a": -2})])
+
+
+@pytest.mark.parametrize("source,n,params", [
+    pytest.param(source, n, params, id=f"{source.__name__}-{n}" + "".join(
+        f"-{k}={v}" for k, v in params.items()))
+    for source, n, params in _CATALOGUE])
+def test_catalogue_calls_share_no_mutable_state(source, n, params):
+    """The catalogue is parsed once per process, yet no call shares its
+    constants dict or a constant with another: mutating one algebra,
+    even a coefficient in place, leaves the next intact."""
+    def make():
+        return source(n, **params)
+
+    g, h = make(), make()
+    assert g.c is not h.c
+    want = h.to_json()
+    for v in g.c.values():
+        v.terms[(("z", 1),)] = Fraction(5)
+    g.c[(3, 4, 1)] = ParamPolynomial.lift(7)
+    del g.c[next(iter(g.c))]
+    assert g.to_json() != want
+    fresh = make()
+    assert fresh.is_lie()
+    assert fresh.to_json() == want == h.to_json()
+
+
+def test_families_show_after_a_mutated_family(capsys):
+    main(["families", "show", "2"])
+    want = capsys.readouterr().out
+    g = family(2)
+    g.c.clear()
+    g.c[(1, 2, 4)] = ParamPolynomial.lift(1)
+    assert family(2).c != g.c
+    main(["families", "show", "2"])
+    assert capsys.readouterr().out == want
     assert family(2).is_lie()
 
 

@@ -2,8 +2,6 @@
 
 import itertools
 
-from fractions import Fraction
-
 import pytest
 
 from engelhomology.exact import ParamPolynomial

@@ -30,13 +30,12 @@ from engelhomology.exact import (
     matrix_rank,
 )
 from engelhomology.liealg import LieAlgebra4, class_type, family
-from engelhomology.superalg import FORM, MULTIVECTOR, GradedComponent
+from engelhomology.superalg import FORM, MULTIVECTOR
 from engelhomology.weighted import (
     COTANGENT,
     EXTENDED,
     TANGENT,
     ComplexKind,
-    WeightedChainBasis,
     _BoundaryBuilder,
     _cleared_matrix,
     _letter_bracket,
@@ -227,7 +226,8 @@ def test_weight0_tangent_equals_classical_oracle(fam):
         for col in got:
             assert set(got[col]) == set(want[col])
             for row in got[col]:
-                assert (got[col][row] - want[col][row]).is_zero(), (m, col, row)
+                assert (got[col][row] - want[col][row]).is_zero(), \
+                    (m, col, row)
 
 
 def test_boundary_matrix_denominators_cleared():
