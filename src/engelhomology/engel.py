@@ -16,6 +16,7 @@ and checked against the computed polynomial.
 import re
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .exact import (
     MissingParameter,
@@ -75,35 +76,64 @@ class Elc:
 
 
 def _det(rows):
-    """Determinant of a square matrix of ParamPolynomial entries."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = None
-    for c in range(n):
-        top = rows[0][c]
-        if top.is_zero():
-            continue
-        minor = [r[:c] + r[c + 1:] for r in rows[1:]]
-        term = top * _det(minor)
-        if c % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else ParamPolynomial.zero()
+    """Determinant of a 4x4 matrix of ints or ParamPolynomials, expanded
+    along its first two rows: six products of complementary 2x2 minors."""
+    a, b, c, d = rows
+
+    def minor(x, y, i, j):
+        return x[i] * y[j] - x[j] * y[i]
+
+    return (minor(a, b, 0, 1) * minor(c, d, 2, 3)
+            - minor(a, b, 0, 2) * minor(c, d, 1, 3)
+            + minor(a, b, 0, 3) * minor(c, d, 1, 2)
+            + minor(a, b, 1, 2) * minor(c, d, 0, 3)
+            - minor(a, b, 1, 3) * minor(c, d, 0, 2)
+            + minor(a, b, 2, 3) * minor(c, d, 0, 1))
 
 
-def _tower(algebra, plane):
-    w1 = plane.w1()
-    w2 = plane.w2()
-    w3 = algebra.bracket(w1, w2)
-    w4 = algebra.bracket(w1, w3)
-    return w1, w2, w3, w4
+def _over_lcd(values):
+    """(scale, ints): the least common denominator of numeric
+    ParamPolynomials and their products with it.  A value with
+    parameters raises MissingParameter from evaluate."""
+    fracs = [x.terms.get((), 0) if x.is_constant() else x.evaluate({})
+             for x in values]
+    scale = lcm(*(f.denominator for f in fracs))
+    return scale, [f.numerator * (scale // f.denominator) for f in fracs]
+
+
+def _bracket(K, u, v):
+    """D [u, v] on integer vectors, for the integer constants K = D c."""
+    out = [0, 0, 0, 0]
+    for i, j, k, c in K:
+        out[k] += c * (u[i] * v[j] - u[j] * v[i])
+    return out
+
+
+def _integer_tower(algebra, plane):
+    """The tower on integers, for numeric constants c = K/D and a numeric
+    plane w1 = u/su, w2 = v/sv: (K, u, v, t, s, den) with t = D su sv w3,
+    s = D^2 su^2 sv w4 and w1^w2^w3^w4 = u^v^t^s / den.  Raises
+    MissingParameter when the algebra or the plane has parameters."""
+    if algebra.params:
+        raise MissingParameter(algebra.params[0])
+    D, ints = _over_lcd(algebra.c.values())
+    K = [(i - 1, j - 1, k - 1, c) for (i, j, k), c in zip(algebra.c, ints)]
+    su, u = _over_lcd(plane.p)
+    sv, v = _over_lcd(plane.q)
+    t = _bracket(K, u, v)
+    return K, u, v, t, _bracket(K, u, t), D**3 * su**4 * sv**3
 
 
 def elc(algebra, plane):
-    """Coefficient of y1^y2^y3^y4 in w1^w2^w3^w4."""
-    rows = [list(w.coeffs) for w in _tower(algebra, plane)]
-    return Elc(_det(rows))
+    """Coefficient of y1^y2^y3^y4 in w1^w2^w3^w4, on integers when the
+    constants and the plane are numeric."""
+    if algebra.params or any(x.parameters() for x in plane.p + plane.q):
+        w1, w2 = plane.w1(), plane.w2()
+        w3 = algebra.bracket(w1, w2)
+        w4 = algebra.bracket(w1, w3)
+        return Elc(_det([w.coeffs for w in (w1, w2, w3, w4)]))
+    _, u, v, t, s, den = _integer_tower(algebra, plane)
+    return Elc(Fraction(_det((u, v, t, s)), den))
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +277,9 @@ def _admissible_samples(n, free):
 
 def _plane_flags(algebra, plane):
     """(triple independent, quadruple independent) for fully numeric data."""
-    w1, w2, w3, w4 = _tower(algebra, plane)
-    return _rank((w1, w2, w3)) == 3, _rank((w1, w2, w3, w4)) == 4
+    _, u, v, t, s, _ = _integer_tower(algebra, plane)
+    return (len(row_reduce([u, v, t])[1]) == 3,
+            len(row_reduce([u, v, t, s])[1]) == 4)
 
 
 def verify_witness(n, p, q, params=None):
@@ -282,29 +313,16 @@ def verify_witness(n, p, q, params=None):
 # flag dimensions of a candidate plane
 
 
-def _rank(vectors):
-    """Exact rank of parameter-free vectors."""
-    return len(row_reduce([[c.evaluate({}) for c in v.coeffs]
-                           for v in vectors])[1])
-
-
 def engel_flag_check(algebra, plane, assignment=None):
-    """(dim D2, dim D3) for D2 = D + [D,D], D3 = D2 + [D2,D2]."""
+    """(dim D2, dim D3) for D2 = D + [D,D], D3 = D2 + [D2,D2], ranked on
+    the integer tower; raises MissingParameter unless the algebra (after
+    `assignment`) and the plane are numeric."""
     if assignment:
         algebra = algebra.specialize(assignment)
-    if algebra.params:
-        raise MissingParameter(algebra.params[0])
-    w1 = plane.w1()
-    w2 = plane.w2()
-    w3 = algebra.bracket(w1, w2)
-    d2_gens = [w1, w2, w3]
-    d2 = _rank(d2_gens)
-    d3_gens = list(d2_gens)
-    for i in range(len(d2_gens)):
-        for j in range(i + 1, len(d2_gens)):
-            d3_gens.append(algebra.bracket(d2_gens[i], d2_gens[j]))
-    d3 = _rank(d3_gens)
-    return d2, d3
+    K, u, v, t, s, _ = _integer_tower(algebra, plane)
+    # [D2, D2] is spanned by [w1, w2] = w3, [w1, w3] and [w2, w3]
+    return (len(row_reduce([u, v, t])[1]),
+            len(row_reduce([u, v, t, s, _bracket(K, v, t)])[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -1010,7 +1010,7 @@ def _rank_mod_p(arr, p=_PRIME):
         pr = rank + int(piv_rows[0])
         if pr != rank:
             A[[rank, pr]] = A[[pr, rank]]
-        inv = pow(int(A[rank, col]), p - 2, p)
+        inv = pow(int(A[rank, col]), -1, p)
         A[rank, col:] = (A[rank, col:] * inv) % p
         # only rows with a nonzero in this column change: piv_rows past
         # the pivot (the row swapped into pr has a zero there)

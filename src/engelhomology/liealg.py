@@ -289,17 +289,20 @@ _FAMILY_TABLE = {
         (1, 4): ("-(C144^2 + 4*C143)*(C144*C234 - 2*C244)/8",
                  "-(C144^2 + 4*C143)*C144/8",
                  "C143", "C144"),
-        (2, 3): ("-(C144^2 + 4*C143)*(C144*C234 - C244)*(C144*C234 - 2*C244)/(2*C144^2)",
+        (2, 3): ("-(C144^2 + 4*C143)*(C144*C234 - C244)"
+                 "*(C144*C234 - 2*C244)/(2*C144^2)",
                  "-(C144^2 + 4*C143)*(C144*C234 - C244)/(2*C144)",
                  "-C144*C234 + C244", "C234"),
         (2, 4): ("-(C144*C234 - 2*C244)*(C144^2 + 4*C143)*C234/8",
                  "-(C144^2 + 4*C143)*C144*C234/8",
-                 "-(C144^3*C234 + 2*C143*C144*C234 - C144^2*C244 - 4*C143*C244)/(2*C144)",
+                 "-(C144^3*C234 + 2*C143*C144*C234"
+                 " - C144^2*C244 - 4*C143*C244)/(2*C144)",
                  "C244"),
         # The y1- and y4-coefficients here are forced by the Jacobi
         # identity from the rows above (see the bracket-closure note in
         # the test for solving the generic ansatz).
-        (3, 4): ("(C144^2 + 4*C143)^2*(C144*C234 - C244)*(C144*C234 - 2*C244)/(8*C144^2)",
+        (3, 4): ("(C144^2 + 4*C143)^2*(C144*C234 - C244)"
+                 "*(C144*C234 - 2*C244)/(8*C144^2)",
                  "(C144^2 + 4*C143)^2*(C144*C234 - C244)/(8*C144)",
                  "(C144^2 + 4*C143)*(C144*C234 - C244)/4",
                  "-(C144^2 + 4*C143)*(C144*C234 - C244)/(2*C144)"),

@@ -134,7 +134,8 @@ class GradedElement:
     def __eq__(self, other):
         if not isinstance(other, GradedElement):
             return NotImplemented
-        return self.component == other.component and self.coeffs == other.coeffs
+        return (self.component == other.component
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
         return hash((self.component, frozenset(self.coeffs.items())))
@@ -144,11 +145,13 @@ class GradedElement:
             return "0"
         parts = []
         for idx in sorted(self.coeffs):
-            parts.append(f"({self.coeffs[idx]})*{self.component.monomial_str(idx)}")
+            monomial = self.component.monomial_str(idx)
+            parts.append(f"({self.coeffs[idx]})*{monomial}")
         return " + ".join(parts)
 
     def __repr__(self):
-        return f"GradedElement[{self.component.species}^{self.component.degree}]({self})"
+        c = self.component
+        return f"GradedElement[{c.species}^{c.degree}]({self})"
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +212,7 @@ def wedge(x, y):
 def schouten_bracket(g, P, Q):
     """[P, Q] = sum_{s,t} (-1)^(s+t) [p_s, q_t] ^ P_without_s ^ Q_without_t,
     extended bilinearly from decomposables; degree (a-1) + (b-1) + 1."""
-    if P.component.species != MULTIVECTOR or Q.component.species != MULTIVECTOR:
+    if not P.component.species == Q.component.species == MULTIVECTOR:
         raise ValueError("schouten_bracket expects multivectors")
     a, b = P.component.degree, Q.component.degree
     out = {}

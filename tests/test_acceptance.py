@@ -290,7 +290,8 @@ def test_criterion_04_weight_minus5_partition():
     for fam in range(1, 7):
         sig = tuple(r[2:] for r in _generic_rows(COTANGENT, -5, fam))
         groups.setdefault(sig, []).append(fam)
-    assert sorted(sorted(v) for v in groups.values()) == [[1], [2, 3, 4], [5, 6]]
+    assert sorted(sorted(v) for v in groups.values()) == \
+        [[1], [2, 3, 4], [5, 6]]
 
 
 def test_criterion_05_rank_strata():

@@ -1,6 +1,8 @@
 """Plane-field analysis: E-l-C closed forms, witnesses, flags, foliations."""
 
 from fractions import Fraction
+from itertools import permutations
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from engelhomology.engel import (
     WITNESSES,
     Elc,
     PlanePair,
+    _det,
+    _plane_flags,
     characteristic_foliation,
     elc,
     elc_formula_check,
@@ -202,6 +206,139 @@ def test_flag_with_assignment_argument():
     assign = {p: Fraction(2) for p in g.params}
     assert engel_flag_check(
         g, PlanePair((1, 0, 0, 0), (0, 1, 0, 0)), assign) == (3, 4)
+
+
+# ---------------------------------------------------------------------------
+# numeric planes: the integer path against the ParamPolynomial one
+
+
+def _leibniz(rows):
+    total = 0
+    for perm in permutations(range(4)):
+        sign = 1
+        for i in range(4):
+            for j in range(i + 1, 4):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = sign
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+def test_det_is_the_leibniz_sum():
+    rng = random.Random(4)
+    for _ in range(50):
+        rows = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
+        assert _det(rows) == _leibniz(rows)
+    sym = [[PV(f"x{i}{j}") for j in range(4)] for i in range(4)]
+    assert (_det(sym) - _leibniz(sym)).is_zero()
+
+
+def _fraction(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def _numeric_cases(n, rng):
+    """A seeded admissible point of type n, the algebra there and a basis
+    change of it whose constants have denominators."""
+    free = class_type(n).params
+    while True:
+        params = {name: _fraction(rng) for name in free}
+        try:
+            g = class_type(n, **params)
+        except ConstraintViolation:
+            continue
+        break
+    while True:
+        # a rescaling and one shear keep the constants sparse
+        T = [[Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3))
+              * (i == j) for j in range(4)] for i in range(4)]
+        i, j = rng.sample(range(4), 2)
+        T[i][j] = _fraction(rng)
+        h = g.change_basis(T)
+        if any(c.constant_value().denominator > 1 for c in h.c.values()):
+            return params, g, h
+
+
+def _planes(rng):
+    """Seeded (p, q) with Fraction coordinates, degenerate ones too."""
+    out = []
+    for k in range(6):
+        p = [_fraction(rng) for _ in range(4)]
+        q = [_fraction(rng) for _ in range(4)]
+        if k == 1:
+            q = [Fraction(-3, 2) * x for x in p]
+        elif k == 2:
+            p = [0, 0, 0, 0]
+        out.append((p, q))
+    return out
+
+
+def _point(p, q):
+    point = {f"p{i}": Fraction(x) for i, x in enumerate(p, start=1)}
+    point.update({f"q{i}": Fraction(x) for i, x in enumerate(q, start=1)})
+    return point
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_numeric_elc_equals_the_symbolic_value(n):
+    rng = random.Random(100 + n)
+    params, g, h = _numeric_cases(n, rng)
+    generic = elc(class_type(n), PlanePair.symbolic()).value
+    for alg in (g, h):
+        sym = elc(alg, PlanePair.symbolic()).value
+        for p, q in _planes(rng):
+            got = elc(alg, PlanePair(p, q)).value
+            assert got.is_constant()
+            assert got.constant_value() == sym.evaluate(_point(p, q))
+            if alg is g:
+                at = dict(params, **_point(p, q))
+                assert got.constant_value() == generic.evaluate(at)
+
+
+def _rank(vectors):
+    """Rank of rows of Fractions by plain Gaussian elimination."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(4):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]),
+                   None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_flag_check_matches_the_rank_of_the_evaluated_tower(n):
+    rng = random.Random(200 + n)
+    for alg in _numeric_cases(n, rng)[1:]:
+        for p, q in _planes(rng):
+            plane = PlanePair(p, q)
+            w1, w2 = plane.w1(), plane.w2()
+            w3 = alg.bracket(w1, w2)
+            w4 = alg.bracket(w1, w3)
+            tower = [[c.constant_value() for c in w.coeffs]
+                     for w in (w1, w2, w3, w4, alg.bracket(w2, w3))]
+            d2 = _rank(tower[:3])
+            assert engel_flag_check(alg, plane) == (d2, _rank(tower))
+            assert _plane_flags(alg, plane) == \
+                (d2 == 3, _rank(tower[:4]) == 4)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_flag_on_a_symbolic_plane_names_p1(n):
+    _, g, h = _numeric_cases(n, random.Random(300 + n))
+    for alg in (g, h):
+        with pytest.raises(MissingParameter) as err:
+            engel_flag_check(alg, PlanePair.symbolic())
+        assert err.value.args == ("p1",)
 
 
 # ---------------------------------------------------------------------------

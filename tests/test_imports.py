@@ -1,5 +1,5 @@
 """Source hygiene: every imported name in the package and the tests is
-read somewhere in its module."""
+read somewhere in its module, and no line is longer than 79 characters."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(ROOT.glob("src/engelhomology/*.py")) + \
     sorted(ROOT.glob("tests/*.py"))
+IDS = [str(p.relative_to(ROOT)) for p in MODULES]
+MAX_LINE = 79
 
 
 def unused_imports(source):
@@ -40,7 +42,13 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports("import a.b\na.b.c()\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES,
-                         ids=[str(p.relative_to(ROOT)) for p in MODULES])
+@pytest.mark.parametrize("path", MODULES, ids=IDS)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=IDS)
+def test_no_line_over_79_characters(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [(n, len(line)) for n, line in enumerate(lines, start=1)
+            if len(line) > MAX_LINE] == []

@@ -50,8 +50,10 @@ def test_vector_ops():
 def test_flag_brackets_everywhere():
     for n in range(1, 7):
         g = family(n)
-        assert g.bracket(Vector4.basis(1), Vector4.basis(2)) == Vector4.basis(3)
-        assert g.bracket(Vector4.basis(1), Vector4.basis(3)) == Vector4.basis(4)
+        assert g.bracket(Vector4.basis(1), Vector4.basis(2)) == \
+            Vector4.basis(3)
+        assert g.bracket(Vector4.basis(1), Vector4.basis(3)) == \
+            Vector4.basis(4)
 
 
 def test_bracket_antisymmetry_on_basis():
