@@ -72,10 +72,12 @@ def _parse_assignment(text):
         piece = piece.strip()
         if not piece:
             continue
-        name, _, value = piece.partition("=")
-        if not _ or not name.strip():
+        name, _, value = (part.strip() for part in piece.partition("="))
+        if not _ or not name:
             raise ValueError(f"expected name=value, got {piece!r}")
-        out[name.strip()] = _parse_rational(value.strip())
+        if name in out:
+            raise ValueError(f"parameter {name} is given twice")
+        out[name] = _parse_rational(value)
     return out
 
 
@@ -90,8 +92,9 @@ def _parse_weights(text):
 
 
 def _parse_witness(text):
-    parts = dict(piece.split("=", 1) for piece in text.split(";"))
-    if set(parts) != {"p", "q"}:
+    pieces = [piece.partition("=") for piece in text.split(";")]
+    parts = {key: value for key, _, value in pieces}
+    if sorted(key + eq for key, eq, _ in pieces) != ["p=", "q="]:
         raise ValueError(f"witness needs p=...;q=..., got {text!r}")
     vectors = []
     for key in ("p", "q"):
@@ -155,8 +158,8 @@ def _json_list(value, what):
 def _add_selector(sub):
     """--param, then the required algebra choice; returns its group (the
     usage line brackets a group only while its options are adjacent)."""
-    sub.add_argument("--param", metavar="A", default=None,
-                     help="scalar parameters, e.g. a=2,b=3")
+    sub.add_argument("--param", metavar="A", action="append",
+                     help="scalar parameters, e.g. a=2,b=3 (repeatable)")
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--family", type=int, metavar="N",
                        help="catalogued family 1..6")
@@ -359,8 +362,8 @@ def build_parser():
                      choices=("randomized", "symbolic", "specialized"))
     bet.add_argument("--seed", type=int, default=1729)
     bet.add_argument("--trials", type=int, default=3)
-    bet.add_argument("--specialize", metavar="A", default=None,
-                     help="parameter assignment, e.g. C244=0")
+    bet.add_argument("--specialize", metavar="A", action="append",
+                     help="parameter assignment, e.g. C244=0 (repeatable)")
     bet.add_argument("--format", default="table",
                      choices=("table", "json", "csv"))
     bet.add_argument("--paper-table", action="store_true",
@@ -417,6 +420,9 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_normalize_argv(list(argv)))
+    for dest in ("param", "specialize"):  # repeats merge into one list
+        if getattr(args, dest, None):
+            setattr(args, dest, ",".join(getattr(args, dest)))
     try:
         lines = args.func(args)
     except VerificationFailure as exc:

@@ -15,7 +15,6 @@ and checked against the computed polynomial.
 
 import re
 from fractions import Fraction
-from itertools import product
 from math import lcm
 
 from .exact import (
@@ -26,7 +25,6 @@ from .exact import (
 )
 from .liealg import (
     ClassTypeId,
-    ConstraintViolation,
     Vector4,
     class_type,
 )
@@ -244,36 +242,6 @@ GENERIC_CONDITIONS = {
     9: ("b - 1",),
 }
 
-# deterministic parameter pools for sampling the admissible locus
-_A_POOL = (2, 3, -2, Fraction(5, 2), Fraction(-1, 2), 5, -3)
-_B_POOL = (Fraction(1, 2), Fraction(-1, 2), Fraction(3, 4),
-           Fraction(-2, 3), 2, 3, -2, Fraction(1, 3))
-_SAMPLES = 5
-
-
-def _admissible_samples(n, free):
-    """First _SAMPLES assignments of the free parameters that satisfy the
-    classification constraints and the genericity conditions."""
-    from .exact import parse_polynomial
-    conds = [parse_polynomial(c) for c in GENERIC_CONDITIONS.get(n, ())]
-    pools = []
-    for name in free:
-        pools.append([(name, Fraction(v))
-                      for v in (_A_POOL if name == "a" else _B_POOL)])
-    out = []
-    for combo in product(*pools):
-        assign = dict(combo)
-        try:
-            class_type(n, **assign)
-        except ConstraintViolation:
-            continue
-        if any(c.evaluate(assign) == 0 for c in conds):
-            continue
-        out.append(assign)
-        if len(out) == _SAMPLES:
-            break
-    return out
-
 
 def _plane_flags(algebra, plane):
     """(triple independent, quadruple independent) for fully numeric data."""
@@ -285,28 +253,19 @@ def _plane_flags(algebra, plane):
 def verify_witness(n, p, q, params=None):
     """Is span(w1, w2) an Engel-like plane for fixed algebra n?
 
-    Concrete parameters are checked exactly; parameters left free are
-    sampled at admissible rational points, and the claim must hold at
-    every sample.
+    A numeric point is checked exactly.  Free parameters are proven
+    generically: the E-l-C over them must be a nonzero polynomial, so
+    nonzero on a dense open part of the admissible locus (every type's
+    has interior), and w1^w2^w3^w4 != 0 makes w1, w2, w3 independent.
     """
     params = {k: Fraction(v) for k, v in (params or {}).items()}
     algebra = class_type(n, **params)
     plane = PlanePair(p, q)
-    free = algebra.params
-    if not free:
+    if not algebra.params:
         triple, quad = _plane_flags(algebra, plane)
         return triple and quad
-    samples = _admissible_samples(n, free)
-    if not samples:
-        raise ConstraintViolation(
-            f"type-{n}: no admissible parameter samples")
-    for assign in samples:
-        full = dict(params)
-        full.update(assign)
-        triple, quad = _plane_flags(class_type(n, **full), plane)
-        if not (triple and quad):
-            return False
-    return True
+    _over_lcd(plane.p + plane.q)  # raises MissingParameter if symbolic
+    return not elc(algebra, plane).is_zero()
 
 
 # ---------------------------------------------------------------------------

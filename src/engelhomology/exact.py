@@ -997,8 +997,8 @@ def _distinct(polys):
     return {id(poly): poly for poly in polys}.values()
 
 
-def _rank_mod_p(arr, p=_PRIME):
-    A = arr % p
+def _rank_mod_p(arr):
+    A = arr % _PRIME
     nrows, ncols = A.shape
     rank = 0
     for col in range(ncols):
@@ -1010,14 +1010,14 @@ def _rank_mod_p(arr, p=_PRIME):
         pr = rank + int(piv_rows[0])
         if pr != rank:
             A[[rank, pr]] = A[[pr, rank]]
-        inv = pow(int(A[rank, col]), -1, p)
-        A[rank, col:] = (A[rank, col:] * inv) % p
+        inv = pow(int(A[rank, col]), -1, _PRIME)
+        A[rank, col:] = (A[rank, col:] * inv) % _PRIME
         # only rows with a nonzero in this column change: piv_rows past
         # the pivot (the row swapped into pr has a zero there)
         rows = rank + piv_rows[1:]
         if rows.size:
             A[rows, col:] = (A[rows, col:]
-                             - A[rows, col][:, None] * A[rank, col:]) % p
+                             - A[rows, col][:, None] * A[rank, col:]) % _PRIME
         rank += 1
     return rank
 

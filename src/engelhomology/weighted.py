@@ -342,15 +342,6 @@ class _BoundaryBuilder:
         return TensorMatrix(rows, cols, cells, _contraction(F, K), monomials,
                             den)
 
-    def fraction_columns(self, weight, m):
-        """Raw differential as {column: {row: ParamPolynomial}}, entries
-        with denominators; cells with the same form share one object.
-
-        Unlike the cleared matrix, these columns compose: the chain-map
-        identity d_{m} after d_{m+1} = 0 only holds before clearing.
-        """
-        return _columns(self.boundary(weight, m))
-
     def matrix(self, weight, m):
         """d_m with its denominators cleared column by column."""
         M = self.boundary(weight, m)
@@ -359,7 +350,11 @@ class _BoundaryBuilder:
 
 def _columns(M):
     """A TensorMatrix as {column: {row: ParamPolynomial}}, column by
-    column; cells with the same form share one entry object."""
+    column; cells with the same form share one entry object.
+
+    On a raw boundary the columns keep their denominators, so they
+    compose: d_m after d_{m+1} = 0 only holds before clearing.
+    """
     values = M.polynomials()
     columns = {}
     for row, col, f in M.entries.tolist():

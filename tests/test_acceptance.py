@@ -57,6 +57,7 @@ from engelhomology.weighted import (
     TANGENT,
     _BoundaryBuilder,
     _cleared_matrix,
+    _columns,
     boundary_matrix,
     chain_basis,
     homology_report,
@@ -505,7 +506,7 @@ def test_criterion_06_property_suite():
                       if chain_basis(kind, weight, m).dimension)
             for fam in range(1, 7):
                 builder = _BoundaryBuilder(FAMILIES[fam], kind)
-                cols = {m: builder.fraction_columns(weight, m)
+                cols = {m: _columns(builder.boundary(weight, m))
                         for m in range(1, top + 1)}
                 for m in range(1, top):
                     bad = _compose_entries(cols[m + 1], cols[m])

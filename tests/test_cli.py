@@ -302,6 +302,52 @@ def test_elc_witness_zero_fails(capsys):
     assert "ZERO" in out
 
 
+W6 = "p=0,0,0,1;q=1,1,1,0"
+SPECIALIZED = ("betti", "--family", "2", "--complex", "tangent",
+               "--weights", "0", "--mode", "specialized", "--format", "json")
+
+
+def test_repeated_param_and_specialize_merge(capsys):
+    code, out, _ = run(capsys, "elc", "--type", "6", "--param", "a=2",
+                       "--param", "b=3", "--witness", W6)
+    assert (code, out) == (0, "E-l-C = -4\nNONZERO\n")
+    code, split, _ = run(capsys, *SPECIALIZED,
+                         "--specialize", "C143=2,C144=3",
+                         "--specialize", "C234=4,C244=5")
+    _, joined, _ = run(capsys, *SPECIALIZED,
+                       "--specialize", "C143=2,C144=3,C234=4,C244=5")
+    assert code == 0
+    assert split == joined
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("elc", "--type", "6", "--param", "a=2,a=5,b=3", "--witness", W6),
+     "a"),
+    (("elc", "--type", "6", "--param", "a=2,b=3", "--param", "b=5",
+      "--witness", W6), "b"),
+    (SPECIALIZED + ("--specialize", "C143=2,C144=3,C234=4,C244=5",
+                    "--specialize", "C144=1"), "C144"),
+])
+def test_a_name_given_twice_exits_1(argv, name, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"engelhomology: error: parameter {name} is given twice\n"
+
+
+@pytest.mark.parametrize("witness", [
+    W6 + ";p=1,1,1,1",
+    W6 + ";q=0,0,1,0",
+    W6 + ";x",
+    "p=0,0,0,1;q",
+])
+def test_witness_with_a_repeated_or_bare_piece_exits_1(witness, capsys):
+    code, out, err = run(capsys, "elc", "--type", "6", "--param", "a=2,b=3",
+                         "--witness", witness)
+    assert (code, out) == (1, "")
+    assert err == ("engelhomology: error: witness needs p=...;q=..., got "
+                   f"{witness!r}\n")
+
+
 def test_foliation_table(capsys):
     code, out, _ = run(capsys, "foliation", "--family", "5")
     assert code == 0

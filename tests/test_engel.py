@@ -30,6 +30,7 @@ from engelhomology.engel import (
 from engelhomology.exact import (
     MissingParameter,
     ParamPolynomial,
+    parse_polynomial,
 )
 from engelhomology.liealg import (
     ConstraintViolation,
@@ -174,6 +175,47 @@ def test_witness_rejects_bad_params():
 
 def test_generic_condition_table():
     assert set(GENERIC_CONDITIONS) == {2, 5, 9}
+    for n, conditions in GENERIC_CONDITIONS.items():
+        plane = PlanePair(*WITNESS_CORRECTIONS.get(n, WITNESSES[n]))
+        value = elc(class_type(n), plane).value
+        assert not value.is_zero()
+        for text in conditions:
+            # each condition reads x - rest: putting x = rest zeroes it
+            c = parse_polynomial(text)
+            x = c.parameters()[0]
+            assert value.substitute({x: PV(x) - c}).is_zero(), (n, text)
+
+
+# planes whose E-l-C is a nonzero polynomial with a rational root inside
+# the admissible locus: 2b^2 - b - 1 (b = -1/2) and 5a + 10 (a = -2)
+ROOTED = {
+    9: (((-1, -1, -1, -1), (-1, -1, 1, 0)), {"b": Fraction(-1, 2)}),
+    11: (((0, 0, 1, -1), (0, 1, 1, 1)), {"a": -2}),
+}
+PARAMETRIC = [n for n in range(1, 13) if class_type(n).params]
+PLANES = sorted(set(WITNESSES.values()) | set(WITNESS_CORRECTIONS.values())
+                | {plane for plane, _ in ROOTED.values()})
+
+
+@pytest.mark.parametrize("n", sorted(ROOTED))
+def test_free_parameters_are_decided_generically(n):
+    (p, q), root = ROOTED[n]
+    assert verify_witness(n, p, q)
+    # the root itself is a numeric point, checked exactly
+    assert not verify_witness(n, p, q, root)
+
+
+@pytest.mark.parametrize("n", PARAMETRIC)
+def test_witness_verdict_is_the_symbolic_elc(n):
+    for p, q in PLANES:
+        value = elc(class_type(n), PlanePair(p, q))
+        assert verify_witness(n, p, q) == (not value.is_zero()), (p, q)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_witness_on_a_symbolic_plane_raises(n):
+    with pytest.raises(MissingParameter):
+        verify_witness(n, (PV("x"), 0, 0, 1), (1, 0, 1, 0))
 
 
 # ---------------------------------------------------------------------------

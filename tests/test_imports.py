@@ -1,5 +1,7 @@
 """Source hygiene: every imported name in the package and the tests is
-read somewhere in its module, and no line is longer than 79 characters."""
+read somewhere in its module, every private helper of the package is read
+somewhere in the package, the tests or perfbench, and no line is longer
+than 79 characters."""
 
 import ast
 from pathlib import Path
@@ -7,8 +9,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted(ROOT.glob("src/engelhomology/*.py")) + \
-    sorted(ROOT.glob("tests/*.py"))
+PACKAGE = sorted(ROOT.glob("src/engelhomology/*.py"))
+MODULES = PACKAGE + sorted(ROOT.glob("tests/*.py"))
+READERS = MODULES + sorted(ROOT.glob("perfbench/*.py"))
 IDS = [str(p.relative_to(ROOT)) for p in MODULES]
 MAX_LINE = 79
 
@@ -52,3 +55,72 @@ def test_no_line_over_79_characters(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [(n, len(line)) for n, line in enumerate(lines, start=1)
             if len(line) > MAX_LINE] == []
+
+
+def _is_private(name):
+    return name.startswith("_") and not (
+        name.startswith("__") and name.endswith("__"))
+
+
+def private_definitions(source):
+    """(line, name) of the module-level private functions, classes and
+    constants, and of the private methods of every class; dunders are
+    left out."""
+    tree = ast.parse(source)
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, ast.Assign):
+            found += [(node.lineno, n.id) for t in node.targets
+                      for n in ast.walk(t) if isinstance(n, ast.Name)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            found += [(item.lineno, item.name) for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+    return sorted((line, name) for line, name in found
+                  if _is_private(name))
+
+
+def names_read(source):
+    """Every name a module reads: load-context names and attributes, and
+    the names it imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_the_check_sees_a_dead_helper():
+    source = ("_POOL = 1\n"
+              "def _used(): pass\n"
+              "def _dead(): _used()\n"
+              "class _Box:\n"
+              "    def __init__(self): self._slot = 0\n"
+              "    def _method(self): pass\n")
+    assert private_definitions(source) == [
+        (1, "_POOL"), (2, "_used"), (3, "_dead"), (4, "_Box"),
+        (6, "_method")]
+    read = names_read(source + "_Box()._method\n")
+    assert {"_used", "_Box", "_method"} <= read
+    assert not {"_POOL", "_dead", "_slot"} & read
+
+
+@pytest.fixture(scope="module")
+def read_anywhere():
+    return set().union(*(names_read(p.read_text(encoding="utf-8"))
+                         for p in READERS))
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_no_dead_private_helpers(path, read_anywhere):
+    defined = private_definitions(path.read_text(encoding="utf-8"))
+    assert [(line, name) for line, name in defined
+            if name not in read_anywhere] == []

@@ -38,6 +38,7 @@ from engelhomology.weighted import (
     ComplexKind,
     _BoundaryBuilder,
     _cleared_matrix,
+    _columns,
     _letter_bracket,
     _scan_cap,
     boundary_matrix,
@@ -152,8 +153,8 @@ def test_basis_words_index_roundtrip():
 def _compose_is_zero(g, kind, weight, m):
     """d_m after d_{m+1} vanishes entrywise at the fraction level."""
     builder = _BoundaryBuilder(g, kind)
-    hi = builder.fraction_columns(weight, m + 1)
-    lo = builder.fraction_columns(weight, m)
+    hi = _columns(builder.boundary(weight, m + 1))
+    lo = _columns(builder.boundary(weight, m))
     for col, by_mid in hi.items():
         acc = {}
         for mid, v in by_mid.items():
@@ -220,7 +221,7 @@ def test_weight0_tangent_equals_classical_oracle(fam):
     g = FAMILIES[fam]
     builder = _BoundaryBuilder(g, TANGENT)
     for m in range(2, 5):
-        got = builder.fraction_columns(0, m)
+        got = _columns(builder.boundary(0, m))
         want = _classical_ce_columns(g, m)
         assert set(got) == set(want)
         for col in got:
@@ -315,7 +316,7 @@ def _assert_contraction_is_word_loop(g, kind, weight):
     builder = _BoundaryBuilder(g, kind)
     for m, basis_m, basis_prev in _boundaries(kind, weight):
         direct = _word_columns(g, ComplexKind(kind), basis_m, basis_prev)
-        assert builder.fraction_columns(weight, m) == direct, \
+        assert _columns(builder.boundary(weight, m)) == direct, \
             (kind, weight, m)
         assert builder.matrix(weight, m) == \
             _cleared_matrix(basis_prev.dimension, basis_m.dimension,
@@ -895,7 +896,7 @@ def test_constant_cycles_and_cocycles_vanish_exactly():
             raw = builder.boundary(weight, m)
             d = PolyMatrix(raw.rows, raw.cols)
             d.entries = {(r, c): v for c, col in
-                         builder.fraction_columns(weight, m).items()
+                         _columns(builder.boundary(weight, m)).items()
                          for r, v in col.items()}
             cycles = exact.constant_kernel(raw)
             cocycles = exact.constant_kernel(raw, transpose=True)
