@@ -4,7 +4,7 @@ the graded superalgebras built from multivectors and forms."""
 
 from .exact import (
     ParamPolynomial,
-    PolyMatrix,
+    TensorMatrix,
     SymbolicGeneric,
     Randomized,
     Specialized,
@@ -18,7 +18,7 @@ from .exact import (
 
 __all__ = [
     "ParamPolynomial",
-    "PolyMatrix",
+    "TensorMatrix",
     "SymbolicGeneric",
     "Randomized",
     "Specialized",

@@ -119,6 +119,10 @@ def _load_inline(path):
     for entry in _json_list(doc.get("brackets", []), "brackets"):
         if not isinstance(entry, dict):
             raise ValueError("each bracket entry must be a JSON object")
+        for key in ("i", "j", "coeffs"):
+            if key not in entry:
+                raise ValueError('inline algebra: a bracket entry has no '
+                                 f'"{key}" key')
         i, j = entry["i"], entry["j"]
         if {type(i), type(j)} != {int}:
             raise ValueError("inline algebra: bracket i and j must be JSON "

@@ -487,95 +487,6 @@ def _tokenize(text):
 # matrices
 
 
-class PolyMatrix:
-    """Sparse matrix with ParamPolynomial entries."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries=None):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative matrix shape")
-        self.rows = rows
-        self.cols = cols
-        self.entries = {}
-        if entries:
-            for (r, c), p in entries.items():
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise IndexError((r, c))
-                p = ParamPolynomial.lift(p)
-                if not p.is_zero():
-                    self.entries[(r, c)] = p
-
-    @classmethod
-    def from_rows(cls, rows_list):
-        rows = len(rows_list)
-        cols = len(rows_list[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(rows_list):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for c, p in enumerate(row):
-                entries[(r, c)] = ParamPolynomial.lift(p)
-        return cls(rows, cols, entries)
-
-    def entry(self, r, c):
-        return self.entries.get((r, c), ParamPolynomial.zero())
-
-    def transpose(self):
-        return PolyMatrix(self.cols, self.rows,
-                          {(c, r): p for (r, c), p in self.entries.items()})
-
-    def is_zero(self):
-        return not self.entries
-
-    def parameters(self):
-        out = set()
-        for p in _distinct(self.entries.values()):
-            out.update(p.parameters())
-        return tuple(sorted(out))
-
-    def tensor(self):
-        """This matrix as a TensorMatrix, the form the numeric rank modes
-        evaluate: one coefficient row per distinct entry object."""
-        polys = list(_distinct(self.entries.values()))
-        index = {id(p): f for f, p in enumerate(polys)}
-        cells = np.array([(r, c, index[id(p)])
-                          for (r, c), p in self.entries.items()],
-                         dtype=np.intp).reshape(-1, 3)
-        return TensorMatrix(self.rows, self.cols, cells,
-                            *coefficient_table(polys))
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == \
-            (other.rows, other.cols, other.entries)
-
-    def matmul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        by_col = {}
-        for (r, c), p in other.entries.items():
-            by_col.setdefault(c, []).append((r, p))
-        mine_by_col = {}
-        for (r, c), p in self.entries.items():
-            mine_by_col.setdefault(c, []).append((r, p))
-        out = {}
-        for c, terms in by_col.items():
-            acc = {}
-            for k, p in terms:
-                for r, q in mine_by_col.get(k, ()):
-                    key = r
-                    if key in acc:
-                        acc[key] = acc[key] + q * p
-                    else:
-                        acc[key] = q * p
-            for r, v in acc.items():
-                if not v.is_zero():
-                    out[(r, c)] = v
-        return PolyMatrix(self.rows, other.cols, out)
-
-
 class TensorMatrix:
     """Sparse matrix whose distinct entries share one table of integer
     coefficients over Laurent monomials: entry f is
@@ -606,8 +517,18 @@ class TensorMatrix:
         self._denominator = denominator
         self._residues = None  # coefficients / denominator mod _PRIME
 
-    def tensor(self):
-        return self
+    @classmethod
+    def from_rows(cls, rows):
+        """A hand-written matrix: `rows` of ints, Fractions or
+        ParamPolynomials.  Equal entries share one coefficient row."""
+        cols = len(rows[0]) if rows else 0
+        if any(len(row) != cols for row in rows):
+            raise ValueError("ragged rows")
+        index = {}
+        cells = [(r, c, index.setdefault(ParamPolynomial.lift(x), len(index)))
+                 for r, row in enumerate(rows) for c, x in enumerate(row) if x]
+        cells = np.array(cells, dtype=np.intp).reshape(-1, 3)
+        return cls(len(rows), cols, cells, *coefficient_table(list(index)))
 
     def parameters(self):
         return tuple(sorted({v for m in self._monomials for v, _ in m}))
@@ -724,25 +645,24 @@ class Specialized:
 
 
 def matrix_rank(M, mode, nonzero=(), trials=None):
-    """(rank, kernel_dim) of M under the given mode.
+    """(rank, kernel_dim) of the TensorMatrix M under the given mode.
 
-    M is a PolyMatrix or a TensorMatrix; the numeric modes evaluate
-    M.tensor().  `nonzero` lists polynomials
-    assumed nonzero (nondegeneracy conditions); Randomized sampling
-    rejects points on their zero locus and Specialized refuses points
-    violating them.  Entries may have denominators: Randomized sampling
-    also rejects a point where one vanishes, and Specialized raises
-    DegenerateDenominator at such a point.  `trials`, a range of trial
-    indices, runs only those of a Randomized mode's trials, at the
-    points the full sequence draws for them; by default all run.
+    `nonzero` lists polynomials assumed nonzero (nondegeneracy
+    conditions); Randomized sampling rejects points on their zero locus
+    and Specialized refuses points violating them.  Entries may have
+    denominators: Randomized sampling also rejects a point where one
+    vanishes, and Specialized raises DegenerateDenominator at such a
+    point.  `trials`, a range of trial indices, runs only those of a
+    Randomized mode's trials, at the points the full sequence draws for
+    them; by default all run.
     """
     nonzero = _polynomials(nonzero)
     if isinstance(mode, SymbolicGeneric):
         r = _rank_symbolic(M)
     elif isinstance(mode, Randomized):
-        r = _rank_randomized(M.tensor(), mode, nonzero, trials)
+        r = _rank_randomized(M, mode, nonzero, trials)
     elif isinstance(mode, Specialized):
-        r = _rank_specialized(M.tensor(), mode, nonzero)
+        r = _rank_specialized(M, mode, nonzero)
     else:
         raise TypeError(f"unknown rank mode {mode!r}")
     return r, M.cols - r
@@ -759,7 +679,7 @@ def kernel_basis(M, mode):
     """Exact rational kernel basis; Specialized mode only."""
     if not isinstance(mode, Specialized):
         raise TypeError("kernel_basis requires Specialized mode")
-    return _kernel(*row_reduce(M.tensor().rational_rows(mode.assignment)),
+    return _kernel(*row_reduce(M.rational_rows(mode.assignment)),
                    M.cols)
 
 
@@ -789,7 +709,6 @@ def constant_kernel(M, transpose=False):
     are linearly independent, so M·v vanishes exactly when every
     A_j·v does: v spans the common kernel of the slices, taken exactly.
     """
-    M = M.tensor()
     return _kernel(*row_reduce(M.slices(transpose)),
                    M.rows if transpose else M.cols)
 
@@ -809,7 +728,6 @@ def certificate_rank(N, vectors, nonzero=(), transpose=False):
              for v in vectors]
     except ValueError:
         return None
-    N = N.tensor()
     point = next(_sample_points(N, Randomized(), _polynomials(nonzero)))
     A = N.modular(point)
     if transpose:
@@ -822,13 +740,13 @@ def certificate_rank(N, vectors, nonzero=(), transpose=False):
 
 
 def _rank_symbolic(M):
-    """The generic rank of M over Q(x): fraction-free (Bareiss)
-    elimination of M.tensor() over Z[x] on packed monomials (see
+    """The generic rank of the TensorMatrix M over Q(x): fraction-free
+    (Bareiss) elimination over Z[x] on packed monomials (see
     _packed_rows).  Each step pivots on an entry with the fewest terms,
     then the least Markowitz count, and turns every other row into
     (row·piv − lead·top) / prev, an exact division since each entry is
     then a minor."""
-    rows, guards = _packed_rows(M.tensor())
+    rows, guards = _packed_rows(M)
     prev = {0: 1}
     rank = 0
     while rows:
@@ -988,13 +906,6 @@ def _sample_points(M, mode, nonzero):
                 return point
 
     return iter(draw, None)
-
-
-def _distinct(polys):
-    """Each object among `polys` once.  Cells of a matrix may share one
-    entry object, which then gets one coefficient row; the matrix holds
-    the objects, so their ids stay unique while it is in use."""
-    return {id(poly): poly for poly in polys}.values()
 
 
 def _rank_mod_p(arr):

@@ -21,10 +21,10 @@ built once per process and (complex, weight, m), d_m in integer
 arithmetic from the brackets of letter pairs over an algebra whose
 constants are variables, as an integer matrix F of linear forms in the
 c_ijk.  An algebra's constants are an integer matrix K over their
-Laurent monomials, so
-F·K holds the exact coefficients of every entry of d_m.  Every rank
-mode ranks that product directly, denominators and all; only the
-public boundary_matrix makes polynomials of it and clears them.
+Laurent monomials, so F·K holds the exact coefficients of every entry
+of d_m, a TensorMatrix.  Every rank mode ranks that matrix directly,
+denominators and all; only the public boundary_matrix clears them,
+column by column, into another TensorMatrix.
 """
 
 from bisect import bisect_left
@@ -36,7 +36,6 @@ import numpy as np
 
 from .exact import (
     ParamPolynomial,
-    PolyMatrix,
     Randomized,
     Specialized,
     SymbolicGeneric,
@@ -344,49 +343,38 @@ class _BoundaryBuilder:
 
     def matrix(self, weight, m):
         """d_m with its denominators cleared column by column."""
-        M = self.boundary(weight, m)
-        return _cleared_matrix(M.rows, M.cols, _columns(M))
+        return _cleared_matrix(self.boundary(weight, m))
 
 
-def _columns(M):
-    """A TensorMatrix as {column: {row: ParamPolynomial}}, column by
-    column; cells with the same form share one entry object.
-
-    On a raw boundary the columns keep their denominators, so they
-    compose: d_m after d_{m+1} = 0 only holds before clearing.
-    """
-    values = M.polynomials()
-    columns = {}
-    for row, col, f in M.entries.tolist():
-        columns.setdefault(col, {})[row] = values[f]
-    return columns
-
-
-def _cleared_matrix(rows, cols, columns):
-    """Clear denominators column by column: each column is multiplied by
-    the common denominator of its entries.  Cells that share an entry
-    object and a denominator share their product.
+def _cleared_matrix(M):
+    """The raw boundary TensorMatrix M with each column multiplied by
+    the common denominator of its entries.  Cells that share a form and
+    a denominator share one coefficient row.
 
     Multiplying a column by a nonzero monomial (a product of declared
     nonzero parameters) changes neither rank nor kernel dimension on the
-    locus where those parameters do not vanish.
+    locus where those parameters do not vanish.  Only the raw columns
+    compose: d_m after d_{m+1} = 0 holds before clearing.
     """
-    entries = {}
+    values = M.polynomials()
+    by_col = {}
+    for row, col, f in M.entries.tolist():
+        by_col.setdefault(col, []).append((row, f))
     products = {}
-    for col, by_row in columns.items():
-        den = common_denominator(by_row.values())
-        (mono,) = den.terms
-        for row, v in by_row.items():
-            key = (id(v), mono)
-            p = products.get(key)
-            if p is None:
-                p = products[key] = v * den if mono else v
-            entries[(row, col)] = p
-    return PolyMatrix(rows, cols, entries)
+    cells = []
+    for col, column in by_col.items():
+        den = common_denominator(values[f] for _, f in column)
+        for row, f in column:
+            key = products.setdefault((f, den), len(products))
+            cells.append((row, col, key))
+    polys = [values[f] * den for f, den in products]
+    cells = np.array(cells, dtype=np.intp).reshape(-1, 3)
+    return TensorMatrix(M.rows, M.cols, cells, *coefficient_table(polys))
 
 
 def boundary_matrix(kind, weight, m, algebra):
-    """Matrix of d_m : C_m -> C_{m-1} with denominators cleared."""
+    """Matrix of d_m : C_m -> C_{m-1} with denominators cleared, as a
+    TensorMatrix."""
     return _BoundaryBuilder(algebra, kind).matrix(weight, m)
 
 

@@ -516,10 +516,17 @@ def test_deeply_nested_input_exits_1(document, tmp_path, capsys):
     ({"basis_dim": 4, "brackets": [
         {"i": 1, "j": 2, "coeffs": ["1", "0", False, "0"]}]},
      "bracket (1,2): coefficient false is neither an integer nor a string"),
+    ({"basis_dim": 4, "brackets": [{"j": 2, "coeffs": ["1", "0", "0", "0"]}]},
+     'inline algebra: a bracket entry has no "i" key'),
+    ({"basis_dim": 4, "brackets": [{"i": 1, "coeffs": ["1", "0", "0", "0"]}]},
+     'inline algebra: a bracket entry has no "j" key'),
+    ({"basis_dim": 4, "brackets": [{"i": 1, "j": 2}]},
+     'inline algebra: a bracket entry has no "coeffs" key'),
 ], ids=["not-object", "entry-not-object", "coeffs-not-list",
         "nonzero-not-list", "repeated-entry", "unknown-nonzero",
         "float-index", "bool-index", "string-index", "null-coefficient",
-        "float-coefficient", "bool-coefficient"])
+        "float-coefficient", "bool-coefficient", "missing-i", "missing-j",
+        "missing-coeffs"])
 def test_malformed_inline_algebra_exits_1(document, message, tmp_path,
                                           capsys):
     inline = tmp_path / "bad.json"

@@ -2,12 +2,13 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from engelhomology.exact import (
     ParamPolynomial,
-    PolyMatrix,
+    TensorMatrix,
     SymbolicGeneric,
     Randomized,
     Specialized,
@@ -408,14 +409,36 @@ def test_a_one_term_polynomial_times_its_inverse_is_one(x):
 # -- matrices and rank -----------------------------------------------------
 
 
-def _example_matrix():
+def _example_rows():
     a, b = PV("a"), PV("b")
     # rank 2 generically: row3 = row1 + row2
-    return PolyMatrix.from_rows([
+    return [
         [a, b, PC(1)],
         [PC(1), a * b, b],
         [a + 1, b + a * b, b + 1],
-    ])
+    ]
+
+
+def _example_matrix():
+    return TensorMatrix.from_rows(_example_rows())
+
+
+def _transpose(rows):
+    """The transpose of a nonempty list of rows."""
+    return [list(col) for col in zip(*rows)]
+
+
+def _matmul(A, B, cols):
+    """The product of A and B, lists of rows of ParamPolynomials, B with
+    `cols` columns."""
+    return [[sum((x * B[k][c] for k, x in enumerate(row)), PC(0))
+             for c in range(cols)] for row in A]
+
+
+def _zeros(rows, cols):
+    """The rows × cols zero TensorMatrix."""
+    return TensorMatrix(rows, cols, np.zeros((0, 3), dtype=np.intp),
+                        np.zeros((0, 0), dtype=np.int64), (), 1)
 
 
 def test_symbolic_rank():
@@ -440,7 +463,7 @@ def test_randomized_deterministic():
 
 def test_specialized_rank_drop():
     a, b = PV("a"), PV("b")
-    M = PolyMatrix.from_rows([[a, PC(1)], [PC(1), b]])
+    M = TensorMatrix.from_rows([[a, PC(1)], [PC(1), b]])
     r_gen, _ = matrix_rank(M, SymbolicGeneric())
     assert r_gen == 2
     # on the hypersurface ab = 1 the rank drops
@@ -449,17 +472,18 @@ def test_specialized_rank_drop():
 
 
 def test_specialized_respects_nonzero():
-    M = PolyMatrix.from_rows([[PV("a")]])
+    M = TensorMatrix.from_rows([[PV("a")]])
     with pytest.raises(DegenerateDenominator):
         matrix_rank(M, Specialized({"a": 0}), nonzero=["a"])
 
 
 def test_rank_transpose_invariant():
     M = _example_matrix()
+    T = TensorMatrix.from_rows(_transpose(_example_rows()))
     for mode in (SymbolicGeneric(), Randomized(seed=11),
                  Specialized({"a": 3, "b": 5})):
         r1, _ = matrix_rank(M, mode)
-        r2, _ = matrix_rank(M.transpose(), mode)
+        r2, _ = matrix_rank(T, mode)
         assert r1 == r2
 
 
@@ -468,26 +492,64 @@ def test_rank_permutation_invariant():
     rows = [[a, b, PC(1), PC(0)],
             [PC(1), a, b, a * b],
             [a + 1, a + b, b + 1, a * b]]
-    M = PolyMatrix.from_rows(rows)
+    M = TensorMatrix.from_rows(rows)
     perm_rows = [rows[2], rows[0], rows[1]]
-    permuted = PolyMatrix.from_rows([[r[3], r[1], r[0], r[2]]
-                                     for r in perm_rows])
+    permuted = TensorMatrix.from_rows([[r[3], r[1], r[0], r[2]]
+                                       for r in perm_rows])
     for mode in (SymbolicGeneric(), Randomized(seed=5)):
         assert matrix_rank(M, mode) == matrix_rank(permuted, mode)
 
 
 def test_zero_and_identity_ranks():
-    Z = PolyMatrix(3, 4)
+    Z = _zeros(3, 4)
     assert matrix_rank(Z, SymbolicGeneric()) == (0, 4)
     assert matrix_rank(Z, Randomized()) == (0, 4)
-    I = PolyMatrix.from_rows([[PC(1), PC(0)], [PC(0), PC(1)]])
+    I = TensorMatrix.from_rows([[PC(1), PC(0)], [PC(0), PC(1)]])
     assert matrix_rank(I, Specialized({})) == (2, 0)
+
+
+def test_from_rows_rejects_ragged_rows():
+    with pytest.raises(ValueError):
+        TensorMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        TensorMatrix.from_rows([[], [PV("a")]])
+
+
+def test_from_rows_keeps_empty_shapes():
+    for rows, shape in (([], (0, 0)), ([[]], (1, 0)), ([[]] * 3, (3, 0))):
+        M = TensorMatrix.from_rows(rows)
+        assert (M.rows, M.cols) == shape
+        assert M.rational_rows({}) == rows
+        assert matrix_rank(M, Specialized({})) == (0, 0)
+
+
+def test_from_rows_keeps_mixed_entries():
+    a = PV("a")
+    rows = [[1, Fraction(-2, 3), PC(5)],
+            [0, a / 3, Fraction(1, 2) * a ** -1 + 2]]
+    M = TensorMatrix.from_rows(rows)
+    assert (M.rows, M.cols) == (2, 3)
+    assert TensorMatrix.from_rows(rows[:1]).rational_rows({}) == rows[:1]
+    point = {"a": Fraction(-7, 2)}
+    assert M.rational_rows(point) == [
+        [ParamPolynomial.lift(x).evaluate(point) for x in row]
+        for row in rows]
+
+
+def test_from_rows_shares_a_row_between_equal_entries():
+    a = PV("a")
+    # 2, Fraction(2) and PC(2) are one entry; a and PV("a") another
+    M = TensorMatrix.from_rows([[2, Fraction(2), PC(2)],
+                                [a, PV("a"), 0],
+                                [a + 1, 0, a * a]])
+    assert len(M.entries) == 7 and len(M.polynomials()) == 4
+    assert sorted(map(str, M.polynomials())) == ["2", "a", "a + 1", "a^2"]
 
 
 def test_kernel_basis():
     a = PV("a")
-    M = PolyMatrix.from_rows([[a, PC(1), PC(0)],
-                              [PC(0), PC(0), PC(1)]])
+    M = TensorMatrix.from_rows([[a, PC(1), PC(0)],
+                                [PC(0), PC(0), PC(1)]])
     basis = kernel_basis(M, Specialized({"a": 3}))
     assert len(basis) == 1
     v = basis[0]
@@ -499,26 +561,27 @@ def test_constant_kernel_is_the_common_kernel_of_the_slices():
     a, b = PV("a"), PV("b") ** -1
     # M = [[a, a], [1, 1]]: (1, -1) is a constant cycle, and no nonzero
     # constant row u has u·M = 0 for every a
-    M = PolyMatrix.from_rows([[a, a], [PC(1), PC(1)]])
+    M = TensorMatrix.from_rows([[a, a], [PC(1), PC(1)]])
     assert exact.constant_kernel(M) == [(Fraction(-1), Fraction(1))]
     assert exact.constant_kernel(M, transpose=True) == []
     # denominators: b and 2b cancel against (2, -1)
-    N = PolyMatrix.from_rows([[b, 2 * b, PC(0)]])
+    N = TensorMatrix.from_rows([[b, 2 * b, PC(0)]])
     assert exact.constant_kernel(N) == [
         (Fraction(-2), Fraction(1), Fraction(0)),
         (Fraction(0), Fraction(0), Fraction(1))]
-    assert exact.constant_kernel(PolyMatrix(2, 1), transpose=True) == [
+    assert exact.constant_kernel(_zeros(2, 1), transpose=True) == [
         (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
 
 
 def test_certificate_rank_is_a_rank_mod_p_at_trial_1():
     a = PV("a")
-    N = PolyMatrix.from_rows([[a, PC(0)], [PC(0), PC(0)]])
+    rows = [[a, PC(0)], [PC(0), PC(0)]]
+    N = TensorMatrix.from_rows(rows)
     assert exact.certificate_rank(N, []) == 1
     assert exact.certificate_rank(N, [(Fraction(3), Fraction(0))]) == 1
     assert exact.certificate_rank(N, [(Fraction(0), Fraction(1, 3))]) == 2
-    assert exact.certificate_rank(N.transpose(), [(0, 1)], transpose=True) \
-        == 2
+    NT = TensorMatrix.from_rows(_transpose(rows))
+    assert exact.certificate_rank(NT, [(0, 1)], transpose=True) == 2
     # a denominator divisible by p gives no bound
     assert exact.certificate_rank(
         N, [(Fraction(0), Fraction(1, exact._PRIME))]) is None
@@ -533,15 +596,13 @@ def test_kernel_dim_matches_rank():
 
 def test_matmul():
     a = PV("a")
-    M = PolyMatrix.from_rows([[a, PC(1)], [PC(0), a]])
-    N = PolyMatrix.from_rows([[PC(1)], [a]])
-    P = M.matmul(N)
-    assert P.entry(0, 0) == 2 * a
-    assert P.entry(1, 0) == a * a
+    P = _matmul([[a, PC(1)], [PC(0), a]], [[PC(1)], [a]], 1)
+    assert P[0][0] == 2 * a
+    assert P[1][0] == a * a
 
 
 def test_missing_parameter_in_rank():
-    M = PolyMatrix.from_rows([[PV("a")]])
+    M = TensorMatrix.from_rows([[PV("a")]])
     with pytest.raises(MissingParameter):
         matrix_rank(M, Specialized({}))
 
@@ -554,7 +615,7 @@ def test_randomized_never_exceeds_symbolic(cs, seed):
     basis = [PC(1), a, b]
     entries = [sum((c * m for c, m in zip(cs[3 * i:3 * i + 3], basis)),
                    ParamPolynomial.zero()) for i in range(4)]
-    M = PolyMatrix.from_rows([entries[:2], entries[2:]])
+    M = TensorMatrix.from_rows([entries[:2], entries[2:]])
     r_sym, _ = matrix_rank(M, SymbolicGeneric())
     r_rand, _ = matrix_rank(M, Randomized(seed=seed, trials=2))
     assert r_rand <= r_sym
@@ -573,34 +634,35 @@ _laurent = st.lists(
 def test_bareiss_rank_of_a_product(n, k, data):
     # M = B·C with B n×k and C k×n has rank at most k, so a Randomized
     # lower bound that reaches k fixes it
-    B, C = (PolyMatrix(rows, cols, {(r, c): data.draw(_laurent)
-                                    for r in range(rows)
-                                    for c in range(cols)})
-            for rows, cols in ((n, k), (k, n)))
-    M = B.matmul(C)
+    B, C = ([[data.draw(_laurent) for c in range(cols)]
+             for r in range(rows)] for rows, cols in ((n, k), (k, n)))
+    rows = _matmul(B, C, n)
+    M = TensorMatrix.from_rows(rows)
     r = exact._rank_symbolic(M)
     low = matrix_rank(M, Randomized())[0]
     assert low <= r <= k
-    assert r == exact._rank_symbolic(M.tensor())
+    assert r == exact._rank_symbolic(TensorMatrix.from_rows(_transpose(rows)))
 
 
 def test_packed_rows_shift_columns_and_size_fields():
     a, b = PV("a"), PV("b")
-    M = PolyMatrix.from_rows([[b / a, a], [PC(2), b * b]])
+    M = TensorMatrix.from_rows([[b / a, a], [PC(2), b * b]])
     # column 0 is divided by 1/a, column 1 by 1; the column degrees sum
     # to 2 in a and 3 in b, so each field holds 4 or 6 in 3 bits and a
     # guard bit: b in bits 0-3, a in bits 4-7
-    rows, guards = exact._packed_rows(M.tensor())
+    rows, guards = exact._packed_rows(M)
     assert guards == 1 << 7 | 1 << 3
     assert rows == {0: {0: {1: 1}, 1: {16: 1}}, 1: {0: {16: 2}, 1: {2: 1}}}
     assert exact._rank_symbolic(M) == 2
 
 
 def test_bareiss_on_empty_and_parameter_free_matrices():
-    for M in (PolyMatrix(0, 3), PolyMatrix(3, 0), PolyMatrix(2, 2)):
-        assert exact._rank_symbolic(M) == 0 == exact._rank_symbolic(M.tensor())
+    for M, N in ((_zeros(0, 3), TensorMatrix.from_rows([])),
+                 (_zeros(3, 0), TensorMatrix.from_rows([[]] * 3)),
+                 (_zeros(2, 2), TensorMatrix.from_rows([[0, 0], [0, 0]]))):
+        assert exact._rank_symbolic(M) == 0 == exact._rank_symbolic(N)
     rows = [[2, 4, 6], [1, 2, 3], [Fraction(1, 2), 0, 7]]
-    M = PolyMatrix.from_rows(rows)
+    M = TensorMatrix.from_rows(rows)
     assert not M.parameters()
     assert exact._rank_symbolic(M) == 2 == _fraction_rank(rows)
 
@@ -637,7 +699,7 @@ _matrices = st.integers(1, 5).flatmap(
 @given(_matrices)
 @settings(max_examples=80, deadline=None)
 def test_exact_rank_and_kernel(rows):
-    M = PolyMatrix.from_rows(rows)
+    M = TensorMatrix.from_rows(rows)
     r, k = matrix_rank(M, Specialized({}))
     assert r == _fraction_rank(rows)
     basis = kernel_basis(M, Specialized({}))
@@ -671,9 +733,9 @@ def test_randomized_parameter_free_is_exact(monkeypatch):
 
     monkeypatch.setattr(exact, "_rank_mod_p", no_modular)
     # rank 2 over Q; every modular trial would repeat the same matrix
-    M = PolyMatrix.from_rows([[2, 4, Fraction(1, 3)],
-                              [1, 2, Fraction(1, 6)],
-                              [0, 1, 5]])
+    M = TensorMatrix.from_rows([[2, 4, Fraction(1, 3)],
+                                [1, 2, Fraction(1, 6)],
+                                [0, 1, 5]])
     assert matrix_rank(M, Randomized(seed=3)) == \
         matrix_rank(M, Specialized({})) == (2, 1)
     assert matrix_rank(M, Randomized(), nonzero=[PC(7)]) == (2, 1)
@@ -684,7 +746,7 @@ def test_randomized_parameter_free_is_exact(monkeypatch):
 
 def test_randomized_rejects_zero_nondegeneracy_polynomial():
     # rejection sampling would draw points forever
-    M = PolyMatrix.from_rows([[PV("a")]])
+    M = TensorMatrix.from_rows([[PV("a")]])
     with pytest.raises(DegenerateDenominator):
         matrix_rank(M, Randomized(), nonzero=[PC(0)])
     with pytest.raises(DegenerateDenominator):
@@ -694,7 +756,7 @@ def test_randomized_rejects_zero_nondegeneracy_polynomial():
 def test_randomized_refuses_a_coefficient_denominator_divisible_by_p():
     # 1/p has no inverse mod p: such an entry would read 0 in every
     # trial and the rank would silently drop
-    M = PolyMatrix.from_rows([[PV("a") * Fraction(1, exact._PRIME)]])
+    M = TensorMatrix.from_rows([[PV("a") * Fraction(1, exact._PRIME)]])
     assert matrix_rank(M, Specialized({"a": 1})) == (1, 0)
     with pytest.raises(DegenerateDenominator):
         matrix_rank(M, Randomized())

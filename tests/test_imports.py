@@ -1,12 +1,16 @@
-"""Source hygiene: every imported name in the package and the tests is
-read somewhere in its module, every private helper of the package is read
-somewhere in the package, the tests or perfbench, and no line is longer
-than 79 characters."""
+"""Source hygiene: every name the package exports exists and is listed
+once, every imported name in the package and the tests is read somewhere
+in its module, every private helper of the package is read somewhere in
+the package, the tests or perfbench, and no line is longer than 79
+characters."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import engelhomology
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted(ROOT.glob("src/engelhomology/*.py"))
@@ -43,6 +47,26 @@ def test_the_check_sees_an_unused_import():
         [(1, "os")]
     assert unused_imports("from a import b as c\n__all__ = ['c']\n") == []
     assert unused_imports("import a.b\na.b.c()\n") == []
+
+
+def bad_exports(module):
+    """Names in the module's __all__ that it lacks or lists twice; a
+    stale name would fail only at `from module import *`, since the
+    unused-import check counts every string of __all__ as read."""
+    names = module.__all__
+    return sorted({name for name in names if not hasattr(module, name)
+                   or names.count(name) > 1})
+
+
+def test_the_check_sees_a_stale_export():
+    stale = types.ModuleType("stale")
+    stale.kept = stale.twice = None
+    stale.__all__ = ["kept", "PolyMatrix", "twice", "twice"]
+    assert bad_exports(stale) == ["PolyMatrix", "twice"]
+
+
+def test_every_export_exists_once():
+    assert bad_exports(engelhomology) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=IDS)

@@ -6,10 +6,10 @@ from pathlib import Path
 
 from engelhomology import engel, exact
 from engelhomology.exact import (
-    PolyMatrix,
     Randomized,
     Specialized,
     SymbolicGeneric,
+    TensorMatrix,
     matrix_rank,
 )
 from engelhomology.liealg import class_type, family
@@ -23,7 +23,7 @@ def test_tracer_installs_records_and_uninstalls():
     originals = (exact._rank_specialized, exact._rank_randomized,
                  exact._rank_mod_p, engel._plane_flags,
                  engel.engel_flag_check)
-    M = PolyMatrix.from_rows([[1, 2], [3, 4]])
+    M = TensorMatrix.from_rows([[1, 2], [3, 4]])
     with spans.Tracer() as tracer:
         tracer.run_item("rank", lambda: (
             matrix_rank(M, Specialized({})), matrix_rank(M, Randomized())))

@@ -21,7 +21,6 @@ from engelhomology.exact import (
     DegenerateDenominator,
     MissingParameter,
     ParamPolynomial,
-    PolyMatrix,
     Randomized,
     Specialized,
     SymbolicGeneric,
@@ -37,8 +36,6 @@ from engelhomology.weighted import (
     TANGENT,
     ComplexKind,
     _BoundaryBuilder,
-    _cleared_matrix,
-    _columns,
     _letter_bracket,
     _scan_cap,
     boundary_matrix,
@@ -150,6 +147,29 @@ def test_basis_words_index_roundtrip():
 # boundary structure
 
 
+def _columns(M):
+    """A TensorMatrix as {column: {row: ParamPolynomial}}; cells with
+    the same form share one entry object."""
+    values = M.polynomials()
+    columns = {}
+    for row, col, f in M.entries.tolist():
+        columns.setdefault(col, {})[row] = values[f]
+    return columns
+
+
+def _cells(M):
+    """A TensorMatrix as {(row, column): ParamPolynomial}."""
+    return {(r, c): v for c, col in _columns(M).items()
+            for r, v in col.items()}
+
+
+def _tensor(rows, cols, cells):
+    """The rows × cols TensorMatrix of {(row, column): entry} cells."""
+    return TensorMatrix.from_rows([[cells.get((r, c), 0)
+                                    for c in range(cols)]
+                                   for r in range(rows)])
+
+
 def _compose_is_zero(g, kind, weight, m):
     """d_m after d_{m+1} vanishes entrywise at the fraction level."""
     builder = _BoundaryBuilder(g, kind)
@@ -231,10 +251,44 @@ def test_weight0_tangent_equals_classical_oracle(fam):
                     (m, col, row)
 
 
+def _monomial_ratio(q, p):
+    """The monomial mu with q = p * mu, or None.  A product with a
+    monomial keeps the lex order of terms, so mu is the ratio of the
+    leading terms."""
+    names = sorted(set(p.parameters()) | set(q.parameters()))
+
+    def lead(x):
+        m = max(x.terms, key=lambda m: [dict(m).get(v, 0) for v in names])
+        return ParamPolynomial({m: x.terms[m]})
+
+    mu = lead(q) / lead(p)
+    return mu if p * mu == q else None
+
+
 def test_boundary_matrix_denominators_cleared():
-    M = boundary_matrix(TANGENT, 0, 2, FAMILIES[2])
-    assert M.rows == 4 and M.cols == 6
-    assert any(not p.is_zero() for p in M.entries.values())
+    # families 2 and 3 carry C144 in denominators
+    with_denominator = 0
+    for fam in (2, 3):
+        g = FAMILIES[fam]
+        for kind, weight in PUBLISHED:
+            builder = _BoundaryBuilder(g, kind)
+            for m, _, _ in _boundaries(kind, weight):
+                where = (fam, kind, weight, m)
+                raw = builder.boundary(weight, m)
+                M = boundary_matrix(kind, weight, m, g)
+                assert M.denominator() == 1, where
+                with_denominator += raw.denominator() != 1
+                assert (M.rows, M.cols) == (raw.rows, raw.cols), where
+                cleared, raw = _columns(M), _columns(raw)
+                assert {c: col.keys() for c, col in cleared.items()} == \
+                    {c: col.keys() for c, col in raw.items()}, where
+                # each column is the raw one times one monomial
+                for c, col in cleared.items():
+                    ratios = {_monomial_ratio(v, raw[c][r])
+                              for r, v in col.items()}
+                    assert len(ratios) == 1 and None not in ratios, \
+                        (where, c)
+    assert with_denominator
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +372,19 @@ def _assert_contraction_is_word_loop(g, kind, weight):
         direct = _word_columns(g, ComplexKind(kind), basis_m, basis_prev)
         assert _columns(builder.boundary(weight, m)) == direct, \
             (kind, weight, m)
-        assert builder.matrix(weight, m) == \
-            _cleared_matrix(basis_prev.dimension, basis_m.dimension,
-                            direct), (kind, weight, m)
+        assert _cells(builder.matrix(weight, m)) == _cleared(direct), \
+            (kind, weight, m)
+
+
+def _cleared(columns):
+    """Reference: {(row, column): entry} of the {column: {row: entry}}
+    matrix with each column multiplied by the common denominator of its
+    entries."""
+    out = {}
+    for c, col in columns.items():
+        den = common_denominator(col.values())
+        out.update({(r, c): v * den for r, v in col.items()})
+    return out
 
 
 def _laurent_term(term):
@@ -362,19 +426,18 @@ def test_shared_entries_evaluate_like_distinct_ones():
     p = ParamPolynomial.variable("s") ** 2 / ParamPolynomial.variable("t") + 3
     q = ParamPolynomial.variable("t") - 1
     copy = ParamPolynomial(dict(p.terms))
-    shared = PolyMatrix(2, 3, {(0, 0): p, (1, 1): p, (0, 2): q, (1, 2): p})
-    distinct = PolyMatrix(2, 3, {(0, 0): p, (1, 1): copy, (0, 2): q,
-                                 (1, 2): ParamPolynomial(dict(p.terms))})
+    cells = {(0, 0): p, (1, 1): p, (0, 2): q, (1, 2): p}
+    shared = _tensor(2, 3, cells)
+    distinct = _tensor(2, 3, {(0, 0): p, (1, 1): copy, (0, 2): q,
+                              (1, 2): ParamPolynomial(dict(p.terms))})
     point = {"s": 7, "t": -3}
-    assert np.array_equal(shared.tensor().modular(point),
-                          distinct.tensor().modular(point))
-    assert np.array_equal(shared.tensor().modular(point),
-                          _modular_matrix(shared, point))
-    assert shared.tensor().rational_rows(point) == \
-        distinct.tensor().rational_rows(point) == \
-        _evaluated_rows(shared, point)
-    # one coefficient row per distinct entry object
-    assert len(shared.tensor().polynomials()) == 2
+    assert np.array_equal(shared.modular(point), distinct.modular(point))
+    assert np.array_equal(shared.modular(point),
+                          _modular_matrix(cells, (2, 3), point))
+    assert shared.rational_rows(point) == distinct.rational_rows(point) == \
+        _evaluated_rows(cells, (2, 3), point)
+    # one coefficient row per distinct entry, equal entries sharing it
+    assert len(shared.polynomials()) == len(distinct.polynomials()) == 2
     assert shared.parameters() == distinct.parameters() == ("s", "t")
 
 
@@ -416,7 +479,7 @@ def test_tensor_cache_is_independent_of_the_algebra():
             for kind, weight in cases:
                 got[(g.label, kind)] = (
                     homology_report(kind, weight, g).rows,
-                    [boundary_matrix(kind, weight, m, g)
+                    [_cells(boundary_matrix(kind, weight, m, g))
                      for m, _, _ in _boundaries(kind, weight)])
         runs.append(got)
         tables.append({variant: dict(table) for variant, table
@@ -474,39 +537,48 @@ def _contract(form, constants):
     return ParamPolynomial(terms)
 
 
-def _raw_matrix(g, kind, weight, m):
-    """Reference: d_m as a PolyMatrix of the tensor's forms contracted one
-    by one with `_contract`, denominators kept; cells with the same form
-    share one entry object."""
+def _raw_cells(g, kind, weight, m):
+    """Reference: d_m as {(row, column): entry}, the tensor's forms
+    contracted one by one with `_contract`, denominators kept; cells
+    with the same form share one entry object."""
     _, _, F, cells = weighted._boundary_tensor(ComplexKind(kind), weight, m)
     values = [_contract([(weighted._CONSTANTS[n], a)
                          for n, a in enumerate(row) if a], g.c)
               for row in F.tolist()]
-    M = PolyMatrix(chain_basis(kind, weight, m - 1).dimension,
-                   chain_basis(kind, weight, m).dimension)
-    M.entries = {(row, col): values[f] for row, col, f in cells.tolist()
-                 if values[f]}
-    return M
+    return {(row, col): values[f] for row, col, f in cells.tolist()
+            if values[f]}
 
 
-def _modular_matrix(M, point, p=exact._PRIME):
-    """Reference: a PolyMatrix mod p at an integer point, each distinct
-    entry object evaluated once by ParamPolynomial.evaluate_mod."""
-    values = {id(poly): poly.evaluate_mod(point, p)
-              for poly in exact._distinct(M.entries.values())}
-    arr = np.zeros((M.rows, M.cols), dtype=np.int64)
-    for (r, c), poly in M.entries.items():
+def _raw_matrix(g, kind, weight, m):
+    """Reference: the TensorMatrix of _raw_cells."""
+    return _tensor(chain_basis(kind, weight, m - 1).dimension,
+                   chain_basis(kind, weight, m).dimension,
+                   _raw_cells(g, kind, weight, m))
+
+
+def _distinct_values(cells, evaluate):
+    """{id: evaluate(entry)} over the distinct entry objects of `cells`,
+    each evaluated once, in the order of the cells."""
+    entries = {id(poly): poly for poly in cells.values()}
+    return {key: evaluate(poly) for key, poly in entries.items()}
+
+
+def _modular_matrix(cells, shape, point, p=exact._PRIME):
+    """Reference: {(row, column): entry} cells of the given shape mod p
+    at an integer point, by ParamPolynomial.evaluate_mod."""
+    values = _distinct_values(cells, lambda v: v.evaluate_mod(point, p))
+    arr = np.zeros(shape, dtype=np.int64)
+    for (r, c), poly in cells.items():
         arr[r, c] = values[id(poly)]
     return arr
 
 
-def _evaluated_rows(M, assignment):
-    """Reference: a PolyMatrix at a point as rows of Fractions, each
-    distinct entry object evaluated once by ParamPolynomial.evaluate."""
-    values = {id(poly): poly.evaluate(assignment)
-              for poly in exact._distinct(M.entries.values())}
-    rows = [[Fraction(0)] * M.cols for _ in range(M.rows)]
-    for (r, c), poly in M.entries.items():
+def _evaluated_rows(cells, shape, assignment):
+    """Reference: {(row, column): entry} cells of the given shape at a
+    point as rows of Fractions, by ParamPolynomial.evaluate."""
+    values = _distinct_values(cells, lambda v: v.evaluate(assignment))
+    rows = [[Fraction(0)] * shape[1] for _ in range(shape[0])]
+    for (r, c), poly in cells.items():
         rows[r][c] = values[id(poly)]
     return rows
 
@@ -540,31 +612,32 @@ def _assert_tensor_is_raw(g, seed):
     count = 0
     for kind, weight in PUBLISHED:
         builder = _BoundaryBuilder(g, kind)
-        for m, _, _ in _boundaries(kind, weight):
+        for m, basis_m, basis_prev in _boundaries(kind, weight):
             M = builder.boundary(weight, m)
-            raw = _raw_matrix(g, kind, weight, m)
+            raw = _raw_cells(g, kind, weight, m)
+            shape = (basis_prev.dimension, basis_m.dimension)
             where = (g.label, kind, weight, m)
             # one entry per nonzero cell, each the raw entry
-            values = M.polynomials()
-            assert {(r, c): values[f] for r, c, f in M.entries.tolist()} \
-                == raw.entries, where
-            assert len(M.entries) == len(raw.entries)
-            assert (M.rows, M.cols) == (raw.rows, raw.cols)
+            assert _cells(M) == raw, where
+            assert len(M.entries) == len(raw)
+            assert (M.rows, M.cols) == shape
             params = M.parameters()
-            assert params == raw.parameters(), where
-            assert M.denominator() == common_denominator(
-                raw.entries.values()), where
+            assert params == tuple(sorted(
+                {v for poly in raw.values() for v in poly.parameters()})), \
+                where
+            assert M.denominator() == common_denominator(raw.values()), where
             den = M.denominator().parameters()
             for _ in range(2):
                 point = {v: rng.choice([1, -1]) * rng.randint(1, 10_000)
                          for v in params}
                 assert np.array_equal(M.modular(point),
-                                      _modular_matrix(raw, point)), where
+                                      _modular_matrix(raw, shape, point)), \
+                    where
                 exact_point = {v: Fraction(rng.randint(-9, 9) or 1,
                                            rng.randint(1, 9))
                                for v in params}
                 assert M.rational_rows(exact_point) == \
-                    _evaluated_rows(raw, exact_point), where
+                    _evaluated_rows(raw, shape, exact_point), where
             # a point without a parameter, or zeroing a denominator
             bad = [{v: 1 for v in params[1:]}] if params else []
             bad += [{v: 0 if v == d else 1 for v in params} for d in den]
@@ -573,8 +646,8 @@ def _assert_tensor_is_raw(g, seed):
                                         (M.rational_rows, _evaluated_rows)):
                     got = _raises(lambda: ours(point))
                     assert got is not None, (where, point)
-                    assert got is _raises(lambda: reference(raw, point)), \
-                        (where, point)
+                    assert got is _raises(
+                        lambda: reference(raw, shape, point)), (where, point)
             count += 1
     return count
 
@@ -613,7 +686,7 @@ def test_raw_matrix_ranks_like_the_cleared_one(monkeypatch):
                 raw = builder.boundary(weight, m)
                 cleared = builder.matrix(weight, m)
                 assert {(r, c) for r, c, _ in raw.entries.tolist()} == \
-                    cleared.entries.keys()
+                    _cells(cleared).keys()
                 # the same sample space, hence the same sample points
                 assert sorted(set(raw.parameters()) | nonzero) == \
                     sorted(set(cleared.parameters()) | nonzero)
@@ -894,18 +967,14 @@ def test_constant_cycles_and_cocycles_vanish_exactly():
         builder = _BoundaryBuilder(FAMILIES[fam], kind)
         for m, _, _ in _boundaries(kind, weight):
             raw = builder.boundary(weight, m)
-            d = PolyMatrix(raw.rows, raw.cols)
-            d.entries = {(r, c): v for c, col in
-                         _columns(builder.boundary(weight, m)).items()
-                         for r, v in col.items()}
+            d = _columns(raw)
             cycles = exact.constant_kernel(raw)
             cocycles = exact.constant_kernel(raw, transpose=True)
-            if cycles:
-                V = PolyMatrix.from_rows([list(x) for x in zip(*cycles)])
-                assert d.matmul(V).is_zero(), (kind, weight, fam, m)
-            if cocycles:
-                U = PolyMatrix.from_rows([list(u) for u in cocycles])
-                assert U.matmul(d).is_zero(), (kind, weight, fam, m)
+            for v in cycles:
+                assert not _times(d, v), (kind, weight, fam, m)
+            for u in cocycles:
+                assert not any(sum((u[r] * x for r, x in col.items()), 0)
+                               for col in d.values()), (kind, weight, fam, m)
             found += len(cycles) + len(cocycles)
             if not raw.entries.size:
                 continue
@@ -914,9 +983,18 @@ def test_constant_cycles_and_cocycles_vanish_exactly():
             bad = [Fraction(int(i == c)) for i in range(raw.cols)]
             if cycles:
                 bad = [x + y for x, y in zip(cycles[0], bad)]
-            assert not d.matmul(PolyMatrix.from_rows(
-                [[x] for x in bad])).is_zero()
+            assert _times(d, bad)
     assert found
+
+
+def _times(columns, v):
+    """Reference: the {column: {row: entry}} matrix times the vector v,
+    as {row: nonzero entry}."""
+    acc = {}
+    for c, col in columns.items():
+        for r, x in col.items():
+            acc[r] = acc.get(r, 0) + x * v[c]
+    return {r: x for r, x in acc.items() if x}
 
 
 def test_slices_of_python_integer_coefficients():
