@@ -20,8 +20,8 @@ from math import lcm
 from .exact import (
     MissingParameter,
     ParamPolynomial,
+    echelon,
     parse_fraction,
-    row_reduce,
 )
 from .liealg import (
     ClassTypeId,
@@ -246,8 +246,8 @@ GENERIC_CONDITIONS = {
 def _plane_flags(algebra, plane):
     """(triple independent, quadruple independent) for fully numeric data."""
     _, u, v, t, s, _ = _integer_tower(algebra, plane)
-    return (len(row_reduce([u, v, t])[1]) == 3,
-            len(row_reduce([u, v, t, s])[1]) == 4)
+    return (len(echelon([u, v, t])[1]) == 3,
+            len(echelon([u, v, t, s])[1]) == 4)
 
 
 def verify_witness(n, p, q, params=None):
@@ -280,8 +280,8 @@ def engel_flag_check(algebra, plane, assignment=None):
         algebra = algebra.specialize(assignment)
     K, u, v, t, s, _ = _integer_tower(algebra, plane)
     # [D2, D2] is spanned by [w1, w2] = w3, [w1, w3] and [w2, w3]
-    return (len(row_reduce([u, v, t])[1]),
-            len(row_reduce([u, v, t, s, _bracket(K, v, t)])[1]))
+    return (len(echelon([u, v, t])[1]),
+            len(echelon([u, v, t, s, _bracket(K, v, t)])[1]))
 
 
 # ---------------------------------------------------------------------------

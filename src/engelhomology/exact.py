@@ -256,7 +256,7 @@ class ParamPolynomial:
             for m, c in self.terms.items():
                 t = c.numerator % p
                 if c.denominator != 1:
-                    t = t * pow(c.denominator, p - 2, p) % p
+                    t = t * _unit_inverse(c.denominator, p) % p
                 for v, k in m:
                     t = t * pow(assignment[v] % p, k, p) % p
                 total = (total + t) % p
@@ -316,6 +316,14 @@ class ParamPolynomial:
 
     def __repr__(self):
         return f"ParamPolynomial({self})"
+
+
+def _unit_inverse(d, p):
+    """1/d mod p; raises DegenerateDenominator when p divides d."""
+    if d % p == 0:
+        raise DegenerateDenominator(
+            f"coefficient denominator {d} vanishes mod {p}")
+    return pow(d, -1, p)
 
 
 def _operand(x):
@@ -564,12 +572,7 @@ class TensorMatrix:
         array."""
         p = _PRIME
         if self._residues is None:
-            try:
-                inv = pow(self._denominator, -1, p)
-            except ValueError:
-                raise DegenerateDenominator(
-                    f"coefficient denominator {self._denominator} "
-                    f"vanishes mod {p}") from None
+            inv = _unit_inverse(self._denominator, p)
             self._residues = (self._coefficients % p * inv % p).astype(
                 np.int64)
         try:
@@ -589,8 +592,9 @@ class TensorMatrix:
         arr[e[:, 0], e[:, 1]] = forms[e[:, 2]]
         return arr
 
-    def rational_rows(self, assignment):
-        """The matrix at a point, as rows of Fractions."""
+    def integer_rows(self, assignment):
+        """(rows, den): the matrix at a point is rows / den, with rows
+        lists of Python integers and den a positive integer."""
         try:
             values = []
             for m in self._monomials:
@@ -604,13 +608,16 @@ class TensorMatrix:
         scale = lcm(*(t.denominator for t in values))
         x = np.array([t.numerator * (scale // t.denominator) for t in values],
                      dtype=object)
-        den = self._denominator * scale
-        forms = [Fraction(n, den)
-                 for n in (self._coefficients.astype(object) @ x).tolist()]
-        rows = [[Fraction(0)] * self.cols for _ in range(self.rows)]
+        forms = (self._coefficients.astype(object) @ x).tolist()
+        rows = [[0] * self.cols for _ in range(self.rows)]
         for r, c, f in self.entries.tolist():
             rows[r][c] = forms[f]
-        return rows
+        return rows, self._denominator * scale
+
+    def rational_rows(self, assignment):
+        """The matrix at a point, as rows of Fractions."""
+        rows, den = self.integer_rows(assignment)
+        return [[Fraction(x, den) for x in row] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +686,7 @@ def kernel_basis(M, mode):
     """Exact rational kernel basis; Specialized mode only."""
     if not isinstance(mode, Specialized):
         raise TypeError("kernel_basis requires Specialized mode")
-    return _kernel(*row_reduce(M.rational_rows(mode.assignment)),
+    return _kernel(*row_reduce(M.integer_rows(mode.assignment)[0]),
                    M.cols)
 
 
@@ -941,7 +948,9 @@ def _rank_specialized(M, mode, nonzero):
         if p.evaluate(mode.assignment) == 0:
             raise DegenerateDenominator(
                 f"assignment zeroes nondegeneracy polynomial {p}")
-    return len(row_reduce(M.rational_rows(mode.assignment))[1])
+    rows = M.integer_rows(mode.assignment)[0]
+    # rank(M) = rank(Mᵀ): fewer, longer rows take fewer row operations
+    return len(echelon(rows if M.rows <= M.cols else list(zip(*rows)))[1])
 
 
 def inverse(T):
@@ -960,46 +969,63 @@ def inverse(T):
 def row_reduce(rows):
     """Reduced row echelon form over Z of rows of ints or Fractions.
 
-    Each row is first scaled to integers by the LCM of its denominators.
-    Gauss-Jordan elimination then runs column by column, left to right:
-    it pivots on the entry of least absolute value, clears the column in
-    every other row with gcd multipliers, and divides each changed row by
-    its content.  Returns (work, pivots): the nonzero reduced rows, row i
-    having its pivot in column pivots[i].  Up to a nonzero scale of each
-    row this is the unique RREF, so work[i][c] / work[i][pivots[i]] does
-    not depend on the pivot order.
+    Each row is scaled to integers by the LCM of its denominators; then
+    `echelon` clears each pivot column below the pivot and a back pass,
+    pivot by pivot, clears it above with the same row operation, step
+    for step the Gauss-Jordan elimination that clears both at once.
+    Returns (work, pivots) as echelon does.  Up to a nonzero scale of
+    each row this is the unique RREF, so work[i][c] / work[i][pivots[i]]
+    does not depend on the pivot order.
     """
     work = []
     for row in rows:
         den = lcm(*(x.denominator for x in row))
-        row = [x.numerator * (den // x.denominator) for x in row]
-        if any(row):
-            work.append(row)
+        work.append([x.numerator * (den // x.denominator) for x in row])
+    work, pivots = echelon(work)
+    for rank, col in enumerate(pivots):
+        _clear(work, rank, col, range(rank))
+    return work, pivots
+
+
+def echelon(rows):
+    """Row echelon form over Z of integer rows (left as they are).
+
+    Column by column, left to right, it pivots on the entry of least
+    absolute value and clears the column in the rows below (`_clear`).
+    Returns (work, pivots): the nonzero rows, row i having its pivot in
+    column pivots[i]; len(pivots) is the rank over Q.
+    """
+    work = [row for row in rows if any(row)]
     pivots = []
     for col in range(len(work[0]) if work else 0):
         rank = len(pivots)
         if rank == len(work):
             break
-        piv = None
-        for i in range(rank, len(work)):
-            x = work[i][col]
-            if x and (piv is None or abs(x) < abs(work[piv][col])):
-                piv = i
-        if piv is None:
+        live = [(abs(work[i][col]), i) for i in range(rank, len(work))
+                if work[i][col]]
+        if not live:
             continue
+        piv = min(live)[1]
         work[rank], work[piv] = work[piv], work[rank]
-        top = work[rank]
-        pv = top[col]
-        for i, row in enumerate(work):
-            x = row[col]
-            if not x or i == rank:
-                continue
-            g = gcd(pv, x)
-            a, b = pv // g, x // g
-            row = [u * a - v * b for u, v in zip(row, top)]
-            content = gcd(*row)
-            if content > 1:
-                row = [u // content for u in row]
-            work[i] = row
+        _clear(work, rank, col, range(rank + 1, len(work)))
         pivots.append(col)
-    return work, pivots
+    return work[:len(pivots)], pivots
+
+
+def _clear(work, rank, col, rows):
+    """Clear column `col` of work[i], i in `rows`, with gcd multipliers
+    against the pivot row work[rank]; divide each by its content."""
+    top = work[rank]
+    pv = top[col]
+    for i in rows:
+        row = work[i]
+        x = row[col]
+        if not x:
+            continue
+        g = gcd(pv, x)
+        a, b = pv // g, x // g
+        row = [u * a - v * b for u, v in zip(row, top)]
+        content = gcd(*row)
+        if content > 1:
+            row = [u // content for u in row]
+        work[i] = row

@@ -16,8 +16,11 @@ exactly.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .exact import ParamPolynomial, inverse, parse_fraction
+import numpy as np
+
+from .exact import ParamPolynomial, coefficient_table, inverse, parse_fraction
 
 PV = ParamPolynomial.variable
 
@@ -35,7 +38,8 @@ class FamilyId:
 
     def __init__(self, n):
         if not isinstance(n, int) or not 1 <= n <= self.COUNT:
-            raise ConstraintViolation(f"family index out of range: {n!r}")
+            raise ConstraintViolation(
+                f"{self.source} index out of range: {n!r}")
         self.n = n
 
     def __str__(self):
@@ -218,21 +222,31 @@ class LieAlgebra4:
     def change_basis(self, T):
         """Pull the brackets back through new_i = sum_j T[i][j] y_j.
 
-        T is a 4x4 invertible matrix of rationals.
+        T is a 4x4 invertible matrix of rationals.  With A = sT and
+        U = tT^-1 integer and the 24 constants K monomials / D, the new
+        constants are (C2(A) ⊗ Uᵀ) K / (D s² t), where C2(A) holds the
+        minors A_ai A_bj - A_aj A_bi over the pairs a < b and i < j.
         """
+        if len(T) != 4 or any(len(row) != 4 for row in T):
+            raise ValueError("change of basis needs a 4x4 matrix")
         T = [[Fraction(x) for x in row] for row in T]
         Tinv = inverse(T)
-        new_c = {}
-        for i in range(1, 5):
-            for j in range(i + 1, 5):
-                w = self.bracket(Vector4(T[i - 1]), Vector4(T[j - 1]))
-                # convert old-basis coefficients to new-basis ones
-                for k in range(1, 5):
-                    acc = ParamPolynomial.zero()
-                    for m in range(1, 5):
-                        acc = acc + w.coeff(m) * Tinv[m - 1][k - 1]
-                    new_c[(i, j, k)] = acc
-        return LieAlgebra4(f"{self.label}~", new_c, self.nonzero)
+        s = lcm(*(x.denominator for row in T for x in row))
+        t = lcm(*(x.denominator for row in Tinv for x in row))
+        A = [[int(x * s) for x in row] for row in T]
+        U = np.array([[int(x * t) for x in row] for row in Tinv], dtype=object)
+        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        C2 = np.array([[A[a][i] * A[b][j] - A[a][j] * A[b][i]
+                        for i, j in pairs] for a, b in pairs], dtype=object)
+        keys = [(i + 1, j + 1, k) for i, j in pairs for k in range(1, 5)]
+        K, monomials, D = coefficient_table(
+            [self.structure_constant(*key) for key in keys])
+        new = (np.kron(C2, U.T) @ K.astype(object)).tolist()
+        den = D * s * s * t
+        return LieAlgebra4(f"{self.label}~", {
+            key: ParamPolynomial({m: Fraction(n, den)
+                                  for m, n in zip(monomials, row)})
+            for key, row in zip(keys, new)}, self.nonzero)
 
     def to_json(self):
         brackets = []

@@ -391,6 +391,15 @@ def test_usage_error_exits_1(argv, capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("elc", "--type", "13"), "type index out of range: 13"),
+    (("betti", "--family", "7", "--complex", "tangent", "--weights", "0"),
+     "family index out of range: 7"),
+], ids=["type-13", "family-7"])
+def test_catalogue_index_out_of_range_exits_2(argv, message, capsys):
+    assert run(capsys, *argv) == (2, "", f"constraint violation: {message}\n")
+
+
 def test_bad_weights_exit_1(capsys):
     code, _, err = run(capsys, "betti", "--family", "1",
                        "--complex", "tangent", "--weights", "x")

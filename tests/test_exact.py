@@ -1,6 +1,7 @@
 """Polynomials, fractions, parsing, and the three rank modes."""
 
 from fractions import Fraction
+import random
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from engelhomology.exact import (
     DegenerateDenominator,
     matrix_rank,
     kernel_basis,
+    echelon,
     inverse,
     parse_fraction,
     parse_polynomial,
+    row_reduce,
 )
 from engelhomology import exact
 
@@ -214,6 +217,18 @@ def test_evaluate_missing_and_degenerate():
     with pytest.raises(DegenerateDenominator):
         f.evaluate_mod({"a": 2**31 - 1, "b": 1, "c": 2})
     assert f.evaluate_mod({"a": 2, "b": 6, "c": 1}) == 4
+
+
+def test_evaluate_mod_refuses_a_coefficient_denominator_divisible_by_p():
+    # 1/p has no inverse mod p: Fermat's p^(p-2) would read it as 0
+    p = exact._PRIME
+    f = PV("a") / p
+    refusal = f"coefficient denominator {p} vanishes mod {p}"
+    with pytest.raises(DegenerateDenominator, match=refusal):
+        f.evaluate_mod({"a": 3})
+    with pytest.raises(DegenerateDenominator, match=refusal):
+        TensorMatrix.from_rows([[f]]).modular({"a": 3})
+    assert (PV("a") / 3).evaluate_mod({"a": 3}) == 1
 
 
 _laurent = st.lists(
@@ -684,6 +699,50 @@ def _fraction_rank(rows):
             rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def _integer_matrices():
+    """Seeded integer matrices with zero, repeated and dependent rows,
+    and the shapes 0 x n and n x 0."""
+    rng = random.Random(22)
+    out = [[], [[]] * 3, [[0, 0, 0]], [[0] * 4 for _ in range(3)]]
+    for _ in range(80):
+        cols = rng.randint(1, 7)
+        rows = [[rng.randint(-4, 4) for _ in range(cols)]
+                for _ in range(rng.randint(1, 6))]
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+        rows.append(list(rng.choice(rows)))
+        rows.append([0] * cols)
+        rng.shuffle(rows)
+        out.append(rows)
+    return out
+
+
+def test_echelon_ranks_like_row_reduce():
+    for rows in _integer_matrices():
+        before = [list(row) for row in rows]
+        work, pivots = echelon(rows)
+        assert rows == before
+        assert len(pivots) == len(row_reduce(rows)[1]) == \
+            _fraction_rank(rows)
+        # the Specialized rank, which eliminates a tall matrix transposed
+        assert matrix_rank(TensorMatrix.from_rows(rows),
+                           Specialized({}))[0] == len(pivots)
+        assert len(work) == len(pivots)
+        assert pivots == sorted(set(pivots))
+        # echelon form: row i starts at pivots[i]
+        for row, col in zip(work, pivots):
+            assert row[col] and not any(row[:col])
+
+
+def test_row_reduce_clears_each_pivot_column_above_and_below():
+    for rows in _integer_matrices():
+        work, pivots = row_reduce(rows)
+        assert pivots == echelon(rows)[1] and len(work) == len(pivots)
+        for i, row in enumerate(work):
+            assert [bool(row[c]) for c in pivots] == \
+                [k == i for k in range(len(pivots))]
 
 
 _entries = st.one_of(

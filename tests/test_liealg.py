@@ -1,12 +1,13 @@
 """Algebra catalog: brackets, Jacobi residuals, families, fixed types."""
 
 from fractions import Fraction
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from engelhomology.cli import main
-from engelhomology.exact import ParamPolynomial, parse_fraction
+from engelhomology.exact import ParamPolynomial, inverse, parse_fraction
 from engelhomology.liealg import (
     ConstraintViolation,
     FamilyId,
@@ -354,8 +355,52 @@ def test_change_basis_identity_and_inverse():
 
 def test_change_basis_rejects_singular():
     g = family(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix is singular"):
         g.change_basis([[0] * 4 for _ in range(4)])
+
+
+@pytest.mark.parametrize("T", [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[int(i == j) for j in range(4)] for i in range(5)],
+    [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+], ids=["3x3", "5x4", "ragged"])
+def test_change_basis_rejects_a_matrix_that_is_not_4x4(T):
+    with pytest.raises(ValueError, match="change of basis needs a 4x4"):
+        family(1).change_basis(T)
+
+
+def _bracket_pullback(g, T):
+    """Reference change of basis: bracket the rows of T in the algebra
+    and re-express each result through inverse(T), in ParamPolynomial
+    arithmetic."""
+    T = [[Fraction(x) for x in row] for row in T]
+    Tinv = inverse(T)
+    new_c = {}
+    for i in range(1, 5):
+        for j in range(i + 1, 5):
+            w = g.bracket(Vector4(T[i - 1]), Vector4(T[j - 1]))
+            for k in range(1, 5):
+                new_c[(i, j, k)] = sum(
+                    (w.coeff(m) * Tinv[m - 1][k - 1] for m in range(1, 5)),
+                    ParamPolynomial.zero())
+    return LieAlgebra4(f"{g.label}~", new_c, g.nonzero)
+
+
+def test_change_basis_equals_the_bracket_pullback():
+    rng = random.Random(9)
+    symbolic = [family(n) for n in range(1, 7)] + \
+        [class_type(n) for n in range(1, 13)]
+    numeric = [g.specialize({v: i + 2 for i, v in enumerate(g.params)})
+               for g in symbolic]
+    for g in symbolic + numeric:
+        for entry in (lambda: rng.randint(-3, 3),
+                      lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4))):
+            T = [[entry() for _ in range(4)] for _ in range(4)]
+            while _det4(T) == 0:
+                T = [[entry() for _ in range(4)] for _ in range(4)]
+            h, want = g.change_basis(T), _bracket_pullback(g, T)
+            assert (h.label, h.c, h.nonzero) == \
+                (want.label, want.c, want.nonzero), (g.label, T)
 
 
 def _det4(T):

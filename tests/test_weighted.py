@@ -652,6 +652,32 @@ def _assert_tensor_is_raw(g, seed):
     return count
 
 
+def test_integer_rows_over_their_denominator_are_the_rational_rows():
+    rng = random.Random(5)
+    for g in FAMILIES.values():
+        point = {v: Fraction(rng.randint(1, 9) * rng.choice([1, -1]),
+                             rng.randint(1, 9)) for v in g.params}
+        for kind, weight in PUBLISHED:
+            builder = _BoundaryBuilder(g, kind)
+            for m, basis_m, basis_prev in _boundaries(kind, weight):
+                M = builder.boundary(weight, m)
+                rows, den = M.integer_rows(point)
+                where = (g.label, kind, weight, m)
+                assert den > 0 and (len(rows), len(rows[0])) == \
+                    (basis_prev.dimension, basis_m.dimension), where
+                cells = _cells(M)
+                values = _distinct_values(cells, lambda v: v.evaluate(point))
+                # each nonzero cell is its entry at the point, times den
+                assert {(r, c): Fraction(x, den)
+                        for r, row in enumerate(rows)
+                        for c, x in enumerate(row) if x} == \
+                    {cell: values[id(v)] for cell, v in cells.items()
+                     if values[id(v)]}, where
+                assert all(type(x) is int for row in rows for x in row)
+                assert M.rational_rows(point) == \
+                    [[Fraction(x, den) for x in row] for row in rows], where
+
+
 def test_tensor_boundary_equals_the_raw_matrix_on_the_catalogue():
     assert sum(_assert_tensor_is_raw(g, seed)
                for seed, g in enumerate(CATALOGUE)) == 666
