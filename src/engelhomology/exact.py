@@ -29,7 +29,11 @@ _COEFF_RANGE = (-10_000, 10_000)
 
 
 class MissingParameter(KeyError):
-    """An evaluation assignment does not cover every parameter."""
+    """An evaluation assignment does not cover every parameter; args[0]
+    is the name of the parameter it misses."""
+
+    def __str__(self):
+        return f"no value for parameter {self.args[0]}"
 
 
 class DegenerateDenominator(ZeroDivisionError):
@@ -268,6 +272,8 @@ class ParamPolynomial:
         """Substitute numbers or ParamPolynomials for the assigned
         variables; the others stay symbolic.  A variable with a negative
         exponent must receive a nonzero monomial."""
+        if all(isinstance(x, (int, Fraction)) for x in assignment.values()):
+            return self._substitute_numbers(assignment)
         total = ParamPolynomial()
         for m, c in self.terms.items():
             term = ParamPolynomial(
@@ -281,6 +287,22 @@ class ParamPolynomial:
                             f"{v} = 0 in a denominator") from None
             total = total + term
         return total
+
+    def _substitute_numbers(self, assignment):
+        """substitute when every assigned value is an int or Fraction:
+        each coefficient times the powers of its assigned values."""
+        values = {v: Fraction(x) for v, x in assignment.items()}
+        terms = {}
+        for m, c in self.terms.items():
+            num, den = _power_product((values[v], k) for v, k in m
+                                      if v in values)
+            if not den:
+                v = next(v for v, k in m if k < 0 and values.get(v) == 0)
+                raise DegenerateDenominator(f"{v} = 0 in a denominator")
+            rest = tuple(vk for vk in m if vk[0] not in values)
+            c = Fraction(c.numerator * num, c.denominator * den)
+            terms[rest] = terms.get(rest, 0) + c
+        return ParamPolynomial(terms)
 
     # -- printing ----------------------------------------------------------
 
@@ -316,6 +338,20 @@ class ParamPolynomial:
 
     def __repr__(self):
         return f"ParamPolynomial({self})"
+
+
+def _power_product(factors):
+    """(N, D), unreduced, with N / D the product of x^k over the pairs
+    (x, k) of Fractions x and integers k: x^-k is (1/x)^k, so a zero x
+    with k < 0 gives D = 0."""
+    num = den = 1
+    for x, k in factors:
+        a, b = x.numerator, x.denominator
+        if k < 0:
+            a, b, k = b, a, -k
+        num *= a ** k
+        den *= b ** k
+    return num, den
 
 
 def _unit_inverse(d, p):
@@ -596,17 +632,20 @@ class TensorMatrix:
         """(rows, den): the matrix at a point is rows / den, with rows
         lists of Python integers and den a positive integer."""
         try:
+            point = {v: _as_fraction(assignment[v])
+                     for v in self.parameters()}
             values = []
             for m in self._monomials:
-                t = Fraction(1)
-                for v, k in m:
-                    t *= _as_fraction(assignment[v]) ** k
-                values.append(t)
+                num, den = _power_product((point[v], k) for v, k in m)
+                if not den:
+                    raise ZeroDivisionError
+                g = gcd(num, den)
+                values.append((num // g, den // g))
         except (KeyError, ZeroDivisionError):
             _bad_point(self.parameters(), self.denominator(), assignment)
         # one integer product over the common denominator of the values
-        scale = lcm(*(t.denominator for t in values))
-        x = np.array([t.numerator * (scale // t.denominator) for t in values],
+        scale = lcm(*(den for _, den in values))
+        x = np.array([num * (scale // den) for num, den in values],
                      dtype=object)
         forms = (self._coefficients.astype(object) @ x).tolist()
         rows = [[0] * self.cols for _ in range(self.rows)]
@@ -669,7 +708,7 @@ def matrix_rank(M, mode, nonzero=(), trials=None):
     elif isinstance(mode, Randomized):
         r = _rank_randomized(M, mode, nonzero, trials)
     elif isinstance(mode, Specialized):
-        r = _rank_specialized(M, mode, nonzero)
+        r = len(_rank_specialized(M, mode, nonzero))
     else:
         raise TypeError(f"unknown rank mode {mode!r}")
     return r, M.cols - r
@@ -870,7 +909,7 @@ def _rank_randomized(M, mode, nonzero, trials=None):
     points = _sample_points(M, mode, nonzero)
     if not M.parameters():
         # every trial would eliminate the same matrix; take the exact rank
-        return _rank_specialized(M, Specialized({}), ())
+        return len(_rank_specialized(M, Specialized({}), ()))
     if trials is None:
         trials = range(mode.trials)
     best = 0
@@ -943,14 +982,46 @@ def _rank_mod_p(arr):
 # -- specialized -----------------------------------------------------------
 
 
-def _rank_specialized(M, mode, nonzero):
+def _rank_specialized(M, mode, nonzero, skip=()):
+    """The pivot columns of `echelon` on the columns of M outside `skip`
+    at the mode's point, taken as rows.  They index as many rows of M as
+    the rank of those columns, and the span of those columns projects
+    isomorphically onto the coordinates of those rows."""
     for p in nonzero:
         if p.evaluate(mode.assignment) == 0:
             raise DegenerateDenominator(
                 f"assignment zeroes nondegeneracy polynomial {p}")
     rows = M.integer_rows(mode.assignment)[0]
-    # rank(M) = rank(Mᵀ): fewer, longer rows take fewer row operations
-    return len(echelon(rows if M.rows <= M.cols else list(zip(*rows)))[1])
+    skip = set(skip)
+    return echelon([col for j, col in enumerate(zip(*rows))
+                    if j not in skip])[1]
+
+
+def chain_ranks(matrices, mode, nonzero=(), composable=False):
+    """{m: rank} of the TensorMatrices matrices[m] = d_m : C_m -> C_{m-1}
+    at a Specialized mode's point, ranked top down, largest m first.
+
+    When `composable` (d_m d_{m+1} = 0), let S be the pivot columns of
+    d_{m+1}: they index r_{m+1} independent rows of d_{m+1}, so im
+    d_{m+1} and the e_j, j not in S, span C_m.  d_m vanishes on im
+    d_{m+1}, so r_m is the rank of the columns of d_m outside S, and
+    their pivots are the S of d_{m-1}.  S is empty without d_{m+1} or
+    when not `composable`.  A point that misses a parameter or zeroes a
+    denominator raises what d_m of the least m raises.
+    """
+    nonzero = _polynomials(nonzero)
+    ranks = {}
+    image = ()
+    try:
+        for m in sorted(matrices, reverse=True):
+            skip = image if composable and m + 1 in ranks else ()
+            image = _rank_specialized(matrices[m], mode, nonzero, skip)
+            ranks[m] = len(image)
+    except (MissingParameter, DegenerateDenominator):
+        for m in sorted(matrices):
+            _rank_specialized(matrices[m], mode, nonzero)
+        raise
+    return ranks
 
 
 def inverse(T):

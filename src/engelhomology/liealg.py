@@ -176,29 +176,18 @@ class LieAlgebra4:
         Key (i, j, k, m) with i < j < k holds the y_m-coefficient of
         [[y_i,y_j],y_k] + [[y_j,y_k],y_i] + [[y_k,y_i],y_j].
         """
-        return dict(self._jacobi_items())
-
-    def _jacobi_items(self):
-        """(key, residual) as in jacobi_residuals, in key order, each the
-        contraction sum_l (c_ij^l c_lk^m + c_jk^l c_li^m + c_ki^l c_lj^m)
-        over the stored constants."""
-        c = {}
-        for (i, j, k), v in self.c.items():
-            c[(i, j, k)] = v
-            c[(j, i, k)] = -v
-        for i, j, k in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
-            for m in range(1, 5):
-                total = ParamPolynomial.zero()
-                for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-                    for l in range(1, 5):
-                        a = c.get((p, q, l))
-                        b = c.get((l, r, m))
-                        if a is not None and b is not None:
-                            total = total + a * b
-                yield (i, j, k, m), total
+        return dict(_jacobi_sums(self.c, ParamPolynomial.zero()))
 
     def is_lie(self):
-        """Whether the Jacobi identity holds, memoized on the values."""
+        """Whether the Jacobi identity holds.  Numeric constants n/D over one
+        common denominator D sum as integers (each residual times D²);
+        others sum as polynomials, memoized on their values."""
+        if not any(m for v in self.c.values() for m in v.terms):
+            values = {ijk: v.terms[()] for ijk, v in self.c.items()}
+            den = lcm(*(x.denominator for x in values.values()))
+            numerators = {ijk: x.numerator * (den // x.denominator)
+                          for ijk, x in values.items()}
+            return not any(r for _, r in _jacobi_sums(numerators, 0))
         return _is_lie(frozenset((ijk, frozenset(v.terms.items()))
                                  for ijk, v in self.c.items()))
 
@@ -265,11 +254,30 @@ class LieAlgebra4:
         }
 
 
+def _jacobi_sums(constants, zero):
+    """(key, residual) as in jacobi_residuals, in key order, for the
+    constants {(i, j, k): c_ij^k} (i < j) of one value type: each the
+    contraction sum_l (c_ij^l c_lk^m + c_jk^l c_li^m + c_ki^l c_lj^m),
+    starting from `zero`."""
+    c = {}  # (p, q) -> [(l, c_pq^l)], antisymmetric in p, q
+    for (i, j, k), v in constants.items():
+        c.setdefault((i, j), []).append((k, v))
+        c.setdefault((j, i), []).append((k, -v))
+    for i, j, k in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
+        totals = [zero] * 4
+        for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, a in c.get((p, q), ()):
+                for m, b in c.get((l, r), ()):
+                    totals[m - 1] = totals[m - 1] + a * b
+        for m, total in enumerate(totals, start=1):
+            yield (i, j, k, m), total
+
+
 @lru_cache(maxsize=64)
 def _is_lie(constants):
     """is_lie of the constants ((i, j, k), terms); holds no algebra."""
-    g = LieAlgebra4("", {k: ParamPolynomial(dict(t)) for k, t in constants})
-    return not any(v for _, v in g._jacobi_items())
+    c = {ijk: ParamPolynomial(dict(t)) for ijk, t in constants}
+    return not any(v for _, v in _jacobi_sums(c, ParamPolynomial.zero()))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .exact import (
     SymbolicGeneric,
     TensorMatrix,
     certificate_rank,
+    chain_ranks,
     coefficient_table,
     common_denominator,
     constant_kernel,
@@ -471,8 +472,9 @@ def homology_report(kind, weight, algebra, mode=None, specialization=None):
     Every rank comes from _ranks.  The report's `routes` say for each m
     how the rank of d_m was obtained: `exact` (an exact integer
     elimination of a matrix without parameters or at a Specialized
-    point, or a map into the zero space), `squeeze`, `cycles`,
-    `bareiss`, or `sampled` (a randomized lower bound, not proven).
+    point, over a Lie algebra on a complement of im d_{m+1} only, or a
+    map into the zero space), `squeeze`, `cycles`, `bareiss`, or
+    `sampled` (a randomized lower bound, not proven).
     """
     kind = _as_kind(kind)
     if mode is None:
@@ -502,11 +504,14 @@ def _ranks(matrices, mode, algebra):
     `mode`, from a proven lower bound `low` and upper bound `high` of
     each rank, tightened until they meet.
 
-    1. `low` is trial 1 of the mode's sampling, Randomized() standing in
-       for SymbolicGeneric: a rank mod p at a point where no denominator
-       vanishes is a lower bound of the generic rank, and it is exact
-       for a d_m without parameters and at a Specialized point.  `high`
-       starts at min(rows, cols).
+    1. A d_m without parameters, and every d_m at a Specialized point,
+       is ranked exactly by chain_ranks, top down: over a Lie algebra,
+       where d_m vanishes on im d_{m+1}, d_m is eliminated only on the
+       columns outside the pivots of d_{m+1}.  For any other d_m, `low`
+       is trial 1 of the mode's sampling, Randomized() standing in for
+       SymbolicGeneric: a rank mod p at a point where no denominator
+       vanishes is a lower bound of the generic rank.  `high` starts at
+       min(rows, cols).
     2. Over a Lie algebra, d_m d_{m+1} = 0 bounds r_m by dim C_m -
        r_{m+1} and dim C_{m-1} - r_{m-1} (the squeeze); it tightens
        d_{m-1}, d_m and d_{m+1} again whenever low[m] rises.
@@ -523,13 +528,19 @@ def _ranks(matrices, mode, algebra):
     nonzero = algebra.nonzero
     symbolic = isinstance(mode, SymbolicGeneric)
     sampling = Randomized() if symbolic else mode
-    low = {m: matrix_rank(M, sampling, nonzero, range(1))[0]
+    lie = algebra.is_lie()
+    if isinstance(mode, Specialized):
+        exact = chain_ranks(matrices, mode, nonzero, lie)
+    else:
+        exact = chain_ranks({m: M for m, M in matrices.items()
+                             if not M.parameters()}, Specialized({}),
+                            composable=lie)
+    low = {m: exact[m] if m in exact else
+           matrix_rank(M, sampling, nonzero, range(1))[0]
            for m, M in matrices.items()}
-    routes = {m: "exact" for m, M in matrices.items()
-              if not M.parameters() or isinstance(mode, Specialized)}
+    routes = {m: "exact" for m in exact}
     high = {m: low[m] if m in routes else min(M.rows, M.cols)
             for m, M in matrices.items()}
-    lie = len(routes) < len(matrices) and algebra.is_lie()
 
     def tighten(m, bound, route):
         high[m] = min(high[m], bound)

@@ -11,7 +11,7 @@ import pytest
 import engelhomology
 from engelhomology.cli import main
 from engelhomology.engel import transcribed_formula
-from engelhomology.exact import parse_fraction
+from engelhomology.exact import MissingParameter, parse_fraction
 from engelhomology.liealg import family
 from engelhomology.weighted import homology_report
 
@@ -551,3 +551,13 @@ def test_missing_parameter_exits_3(capsys):
                        "--mode", "specialized", "--specialize", "C144=1")
     assert code == 3
     assert "arithmetic error" in err
+
+
+def test_missing_parameter_is_named_in_words(capsys):
+    code, out, err = run(capsys, "betti", "--family", "2",
+                         "--complex", "tangent", "--weights", "0",
+                         "--mode", "specialized", "--specialize", "C143=1")
+    assert (code, out) == (3, "")
+    assert err == "arithmetic error: no value for parameter C144\n"
+    exc = MissingParameter("C144")
+    assert exc.args[0] == "C144" and isinstance(exc, KeyError)

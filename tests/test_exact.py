@@ -258,6 +258,30 @@ def test_substitute_into_fraction():
     assert val == (2 * PV("x") + 2 * PV("y")) / PV("y")
 
 
+def _substituted(f, assignment):
+    """f.substitute(assignment), or the message it raises."""
+    try:
+        return f.substitute(assignment)
+    except DegenerateDenominator as exc:
+        return str(exc)
+
+
+_numbers = st.one_of(st.integers(-2, 2), st.fractions(
+    min_value=-2, max_value=2, max_denominator=3))
+
+
+@given(_laurent, st.dictionaries(st.sampled_from(["a", "b"]), _numbers))
+@example(PV("a") ** -1 * PV("b") - 3, {"a": 0, "b": Fraction(1, 2)})
+@example(PV("b") ** 2 * PV("a") ** -1, {"b": 0, "a": 0})
+@settings(max_examples=80, deadline=None)
+def test_substituting_numbers_equals_substituting_constants(f, assignment):
+    # a ParamPolynomial value takes the general path, an int or Fraction
+    # the numeric one
+    lifted = {v: PC(x) for v, x in assignment.items()}
+    assert _substituted(f, assignment) == _substituted(f, lifted)
+    assert _substituted(PV("a") ** -2, {"a": 0}) == "a = 0 in a denominator"
+
+
 # -- parsing ---------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from engelhomology.cli import main
 from engelhomology.exact import ParamPolynomial, inverse, parse_fraction
 from engelhomology.liealg import (
+    _is_lie,
     ConstraintViolation,
     FamilyId,
     ClassTypeId,
@@ -187,6 +188,41 @@ def test_ansatz_residuals_are_nontrivial():
     broken.c[(3, 4, 1)] = ParamPolynomial.lift(1)
     broken = LieAlgebra4("broken", broken.c)
     assert not broken.is_lie()
+
+
+def _polynomial_verdict(g):
+    """is_lie through the ParamPolynomial Jacobi sums."""
+    return _is_lie(frozenset((ijk, frozenset(v.terms.items()))
+                             for ijk, v in g.c.items()))
+
+
+def test_integer_jacobi_gives_the_polynomial_verdict():
+    rng = random.Random(13)
+    numeric = 0
+    for g in [family(n) for n in range(1, 7)] + \
+            [class_type(n) for n in range(1, 13)]:
+        # nonzero rationals keep every declared parameter off zero
+        point = {p: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                             rng.randint(1, 3)) for p in g.params}
+        fixed = g.specialize(point, label="fixed")
+        T = [[Fraction(x) for x in row] for row in (
+            [1, 1, 0, 0], [0, 2, 0, 0], [0, Fraction(1, 3), 1, 0],
+            [1, 0, 0, 1])]
+        for h in (g, fixed, fixed.change_basis(T)):
+            assert h.is_lie() and _polynomial_verdict(h), h.label
+            if h.params:
+                continue
+            numeric += 1
+            verdicts = set()
+            for ijk in _CONSTANT_KEYS:
+                perturbed = dict(h.c)
+                perturbed[ijk] = h.structure_constant(*ijk) + Fraction(1, 2)
+                b = LieAlgebra4("perturbed", perturbed)
+                assert b.is_lie() is _polynomial_verdict(b), (h.label, ijk)
+                verdicts.add(b.is_lie())
+            assert False in verdicts, h.label
+    # 18 points, 18 basis changes and the 7 types without a parameter
+    assert numeric == 43
 
 
 def test_is_lie_is_checked_again_when_a_constant_changes():

@@ -7,6 +7,7 @@ published kernel rows for that complex differ, and the acceptance suite
 (criterion 02) checks why.
 """
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engelhomology import exact, weighted
+from engelhomology.cli import _load_inline, main
 from engelhomology.exact import (
     DegenerateDenominator,
     MissingParameter,
@@ -1211,6 +1213,100 @@ def test_reports_invariant_under_basis_change():
         h = g.change_basis(_random_invertible(rng))
         for (kind, weight), rows in base.items():
             assert homology_report(kind, weight, h).rows == rows
+
+
+# ---------------------------------------------------------------------------
+# exact ranks top down, each d_m on a complement of im d_{m+1}
+
+
+def _boundary_matrices(g, kind, weight):
+    builder = _BoundaryBuilder(g, kind)
+    return {m: builder.boundary(weight, m)
+            for m, _, _ in _boundaries(kind, weight)}
+
+
+def _echelon_ranks(g, kind, weight, point):
+    """{m: rank of d_m at `point`}, each by `echelon` on all of d_m."""
+    return {m: len(exact.echelon(M.integer_rows(point)[0])[1])
+            for m, M in _boundary_matrices(g, kind, weight).items()}
+
+
+def _report_ranks(rep):
+    return {m: dim - ker for m, dim, ker, _ in rep.rows}
+
+
+def test_top_down_ranks_equal_echelon_on_every_published_case():
+    # criterion 09's point in Specialized mode, a seeded basis change of
+    # the algebra at that point, and that algebra itself
+    rng = random.Random(23)
+    for fam, g in FAMILIES.items():
+        point = {p: Fraction(i + 2) for i, p in enumerate(g.params)}
+        fixed = g.specialize(point, label=f"fix{fam}")
+        changed = fixed.change_basis(_random_invertible(rng))
+        for kind, weight in PUBLISHED:
+            where = (fam, kind, weight)
+            for rep, h, at in (
+                    (homology_report(kind, weight, g, Specialized(point)),
+                     g, point),
+                    (homology_report(kind, weight, changed), changed, {}),
+                    (homology_report(kind, weight, fixed), fixed, {})):
+                want = _echelon_ranks(h, kind, weight, at)
+                assert {m: r for m, r in _report_ranks(rep).items()
+                        if m in want} == want, where
+                assert set(rep.routes.values()) == {"exact"}, where
+
+
+_BROKEN = {"basis_dim": 4, "brackets": [
+    {"i": 1, "j": 2, "coeffs": [0, 0, 1, 0]},
+    {"i": 1, "j": 3, "coeffs": [0, 0, 0, 1]},
+    {"i": 3, "j": 4, "coeffs": [1, 0, 0, 0]}]}
+
+
+def test_non_lie_inline_algebra_ranks_each_d_m_in_full(tmp_path, capsys):
+    # J(2,3,4) = [[y3,y4],y2] = [y1,y2] = y3, so d² = 0 fails and the
+    # rank of d_m on a complement of im d_{m+1} is not its rank
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(_BROKEN), encoding="utf-8")
+    g = _load_inline(path)
+    assert not g.is_lie()
+    matrices = _boundary_matrices(g, TANGENT, 0)
+    want = _echelon_ranks(g, TANGENT, 0, {})
+    forced = exact.chain_ranks(matrices, Specialized({}), composable=True)
+    assert forced != want
+    assert exact.chain_ranks(matrices, Specialized({})) == want
+    assert main(["betti", "--inline", str(path), "--complex", TANGENT,
+                 "--weights", "0", "--format", "json"]) == 0
+    doc, = json.loads(capsys.readouterr().out)
+    got = {row["m"]: row["dim"] - row["ker"] for row in doc["rows"]}
+    assert {m: got[m] for m in want} == want
+
+
+def _first_failure(matrices, mode, nonzero):
+    """(type, args) of the error of the least d_m at mode's point."""
+    for m in sorted(matrices):
+        try:
+            matrix_rank(matrices[m], mode, nonzero)
+        except (MissingParameter, DegenerateDenominator) as exc:
+            return type(exc), exc.args
+    return None
+
+
+def test_a_bad_point_raises_as_the_least_d_m_does():
+    cases = [(FAMILIES[1], {}), (FAMILIES[1], {"C144": 1}),
+             (FAMILIES[3], {"C144": 1, "C142": 2}),
+             (_undeclared(), {"C143": 1, "C144": 0, "C234": 1, "C244": 1})]
+    seen = set()
+    for g, point in cases:
+        for kind, weight in PUBLISHED[:2] + PUBLISHED[3:4] + PUBLISHED[6:7]:
+            mode = Specialized(point)
+            want = _first_failure(_boundary_matrices(g, kind, weight), mode,
+                                  g.nonzero)
+            with pytest.raises((MissingParameter, DegenerateDenominator)) \
+                    as err:
+                homology_report(kind, weight, g, mode)
+            assert (type(err.value), err.value.args) == want
+            seen.add(want)
+    assert len(seen) > 2
 
 
 # ---------------------------------------------------------------------------
